@@ -280,7 +280,7 @@ func benchTriplets() []greylist.Triplet {
 // promoteAll drives every triplet through first-seen and an accepted
 // retry so the engine holds them all as passed — the warmed serving
 // state where nearly every production check lands.
-func promoteAll(b *testing.B, g greylist.Checker, clock *simtime.Sim, triplets []greylist.Triplet) {
+func promoteAll(b *testing.B, g *greylist.Greylister, clock *simtime.Sim, triplets []greylist.Triplet) {
 	b.Helper()
 	for _, t := range triplets {
 		g.Check(t)
@@ -353,33 +353,22 @@ func BenchmarkGreylistCheck(b *testing.B) {
 }
 
 // BenchmarkGreylistCheckParallel measures concurrent checks against a
-// warmed store (every triplet passed), comparing the single RWMutex
-// engine against sharded variants (the DESIGN.md store-sharding
-// ablation).
+// warmed store (every triplet passed): readers share the RWMutex fast
+// path.
 func BenchmarkGreylistCheckParallel(b *testing.B) {
-	bench := func(b *testing.B, g greylist.Checker, clock *simtime.Sim) {
-		triplets := benchTriplets()
-		promoteAll(b, g, clock, triplets)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				g.Check(triplets[i%len(triplets)])
-				i++
-			}
-		})
-	}
-	b.Run("single-lock", func(b *testing.B) {
-		clock := simtime.NewSim(simtime.Epoch)
-		bench(b, greylist.New(greylist.DefaultPolicy(), clock), clock)
+	clock := simtime.NewSim(simtime.Epoch)
+	g := greylist.New(greylist.DefaultPolicy(), clock)
+	triplets := benchTriplets()
+	promoteAll(b, g, clock, triplets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			g.Check(triplets[i%len(triplets)])
+			i++
+		}
 	})
-	for _, shards := range []int{4, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			clock := simtime.NewSim(simtime.Epoch)
-			bench(b, greylist.NewSharded(shards, greylist.DefaultPolicy(), clock), clock)
-		})
-	}
 }
 
 // BenchmarkGreylistCheckBatch measures the batch API on a pipelined-style
@@ -388,27 +377,19 @@ func BenchmarkGreylistCheckParallel(b *testing.B) {
 // reused so the steady state allocates nothing.
 func BenchmarkGreylistCheckBatch(b *testing.B) {
 	const batch = 32
-	bench := func(b *testing.B, g greylist.BatchChecker, clock *simtime.Sim) {
-		triplets := benchTriplets()[:batch]
-		promoteAll(b, g, clock, triplets)
-		out := make([]greylist.Verdict, 0, batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out = g.CheckBatch(triplets, out)
-		}
-		if out[0].Decision != greylist.Pass {
-			b.Fatalf("batch verdict: %+v", out[0])
-		}
+	clock := simtime.NewSim(simtime.Epoch)
+	g := greylist.New(greylist.DefaultPolicy(), clock)
+	triplets := benchTriplets()[:batch]
+	promoteAll(b, g, clock, triplets)
+	out := make([]greylist.Verdict, 0, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = g.CheckBatch(triplets, out)
 	}
-	b.Run("single-lock", func(b *testing.B) {
-		clock := simtime.NewSim(simtime.Epoch)
-		bench(b, greylist.New(greylist.DefaultPolicy(), clock), clock)
-	})
-	b.Run("sharded-16", func(b *testing.B) {
-		clock := simtime.NewSim(simtime.Epoch)
-		bench(b, greylist.NewSharded(16, greylist.DefaultPolicy(), clock), clock)
-	})
+	if out[0].Decision != greylist.Pass {
+		b.Fatalf("batch verdict: %+v", out[0])
+	}
 }
 
 // BenchmarkScanStudyWorkers runs the Fig 2 two-scan study serially and

@@ -10,7 +10,7 @@
 //	          [-threshold 300s] [-retry-window 48h] [-max-age 840h]
 //	          [-auto-whitelist 5] [-whiteexp 0] [-subnet] [-state greylist.db]
 //	          [-wal greylist.wal] [-wal-sync interval] [-wal-compact-every 16777216]
-//	          [-shards 1] [-rcpt-batch 64] [-admin-addr 127.0.0.1:9925]
+//	          [-rcpt-batch 64] [-admin-addr 127.0.0.1:9925]
 //	          [-trace-ring 1024]
 //	          [-dns 9.9.9.9:53] [-spf] [-dnswl list.dnswl.org] [-rdns]
 //	          [-whitelist-ip CIDR]... [-unprotect postmaster@dom]...
@@ -114,7 +114,6 @@ func run() error {
 		walCompact  = flag.Int64("wal-compact-every", 16<<20, "bytes of wal growth before checkpoint compaction (<0 disables)")
 		gcEvery     = flag.Duration("gc", 10*time.Minute, "state garbage-collection interval")
 		fingerprint = flag.Bool("fingerprint", false, "log an SMTP-dialect fingerprint for every session")
-		shards      = flag.Int("shards", 1, "greylist store shards; >1 partitions state by triplet hash so concurrent sessions rarely contend on one lock")
 		rcptBatch   = flag.Int("rcpt-batch", 64, "max pipelined RCPT commands decided per engine batch (RFC 2920 clients); replies are per-RCPT identical to serial handling")
 		policyAddr  = flag.String("policy-listen", "", "also serve the Postfix policy-delegation protocol on this address (for check_policy_service)")
 		tlsCert     = flag.String("tls-cert", "", "TLS certificate file for STARTTLS (with -tls-key)")
@@ -139,29 +138,7 @@ func run() error {
 		EarnedLifetime:        *whiteexp,
 		SubnetKeying:          *subnet,
 	}
-	// The engine: a single-lock store by default, a sharded one for
-	// high-connection-rate deployments.
-	type engine interface {
-		greylist.BatchChecker
-		greylist.TracedChecker
-		SaveFile(string) error
-		LoadFile(string) error
-		PendingCount() int
-		PassedCount() int
-		Stats() greylist.Stats
-		Register(*metrics.Registry)
-	}
-	var (
-		g   engine
-		eng greylist.Engine // the same object, full-interface view for OpenWAL
-	)
-	if *shards > 1 {
-		s := greylist.NewSharded(*shards, policy, simtime.Real{})
-		g, eng = s, s
-	} else {
-		gl := greylist.New(policy, simtime.Real{})
-		g, eng = gl, gl
-	}
+	g := greylist.New(policy, simtime.Real{})
 	for _, cidr := range whitelistCIDRs {
 		if err := g.Whitelist().AddCIDR(cidr); err != nil {
 			return err
@@ -190,7 +167,7 @@ func run() error {
 			stages = append(stages, bypass.RDNS(res, bypass.CacheConfig{}))
 		}
 		chain := append([]greylist.Stage{greylist.WhitelistStage(g.Whitelist())}, stages...)
-		eng.SetChain(greylist.NewChain(chain...))
+		g.SetChain(greylist.NewChain(chain...))
 		names := make([]string, len(stages))
 		for i, s := range stages {
 			names[i] = s.Name()
@@ -259,7 +236,7 @@ func run() error {
 			SyncEvery:      *walSyncIntv,
 			CompactBytes:   *walCompact,
 			Tracer:         tracer,
-		}, eng)
+		}, g)
 		if err != nil {
 			return fmt.Errorf("opening wal: %w", err)
 		}
@@ -379,10 +356,10 @@ func run() error {
 		// window rotation, and /observatory serves the windowed rollup
 		// that greyctl renders.
 		obsv = obs.New(obs.Config{Window: *obsWindow, Windows: *obsWindows})
-		eng.SetObserver(obsv.Greylist())
-		obsv.WatchGreylist(eng.Stats)
-		if eng.Chain() != nil {
-			obsv.WatchChain(eng.Chain)
+		g.SetObserver(obsv.Greylist())
+		obsv.WatchGreylist(g.Stats)
+		if g.Chain() != nil {
+			obsv.WatchChain(g.Chain)
 		}
 		if wal != nil {
 			obsv.WatchWAL(wal)
@@ -410,7 +387,7 @@ func run() error {
 		}
 		if len(stages) > 0 {
 			health.Add("bypass-chain", func() error {
-				if ch := eng.Chain(); ch == nil || ch.Len() == 0 {
+				if ch := g.Chain(); ch == nil || ch.Len() == 0 {
 					return fmt.Errorf("bypass chain not loaded")
 				}
 				return nil

@@ -93,9 +93,6 @@ type Config struct {
 	// GreylistPolicy configures greylisting when enabled; the zero
 	// value means greylist.DefaultPolicy().
 	GreylistPolicy greylist.Policy
-	// GreylistShards selects a sharded store when > 1 (lower lock
-	// contention at high connection rates); <= 1 means a single store.
-	GreylistShards int
 	// BypassStages are evaluated ahead of the triplet check, after the
 	// engine's own whitelist stage (SPF re-keying, DNSWL, rDNS — see
 	// internal/bypass). Empty means the default whitelist-only chain.
@@ -156,7 +153,7 @@ type Domain struct {
 	deps  Deps
 	clock simtime.Clock
 
-	greylister greylist.Engine
+	greylister *greylist.Greylister
 	users      map[string]bool
 
 	mu         sync.Mutex
@@ -225,11 +222,7 @@ func New(cfg Config, deps Deps) (*Domain, error) {
 		if policy == (greylist.Policy{}) {
 			policy = greylist.DefaultPolicy()
 		}
-		if cfg.GreylistShards > 1 {
-			d.greylister = greylist.NewSharded(cfg.GreylistShards, policy, clock)
-		} else {
-			d.greylister = greylist.New(policy, clock)
-		}
+		d.greylister = greylist.New(policy, clock)
 		for _, u := range cfg.UnprotectedRecipients {
 			d.greylister.Whitelist().AddRecipient(strings.ToLower(u) + "@" + cfg.Domain)
 		}
@@ -340,12 +333,7 @@ func (d *Domain) onRcpt(tr *trace.Trace, clientIP, sender, recipient string) *sm
 		return nil
 	}
 	trip := greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: recipient}
-	var verdict greylist.Verdict
-	if tc, ok := d.greylister.(greylist.TracedChecker); ok {
-		verdict = tc.CheckTraced(trip, tr)
-	} else {
-		verdict = d.greylister.Check(trip)
-	}
+	verdict := d.greylister.CheckTraced(trip, tr)
 	if verdict.Decision == greylist.Pass {
 		return nil
 	}
@@ -431,7 +419,7 @@ func (d *Domain) Rejections() []Rejection {
 }
 
 // Greylister exposes the greylisting engine (nil when disabled).
-func (d *Domain) Greylister() greylist.Engine { return d.greylister }
+func (d *Domain) Greylister() *greylist.Greylister { return d.greylister }
 
 // Register exports the domain's observability surface into reg: the
 // greylisting engine (when the defense includes greylisting) and each MX

@@ -303,21 +303,3 @@ func TestCloseRemovesZoneAndListeners(t *testing.T) {
 	d2 := e.deploy(t, baseConfig(DefenseNone))
 	_ = d2
 }
-
-func TestShardedGreylistEngine(t *testing.T) {
-	e := newEnv(t)
-	cfg := baseConfig(DefenseGreylisting)
-	cfg.GreylistShards = 8
-	d := e.deploy(t, cfg)
-
-	if r := e.send("a@b.example", "bob@foo.net"); r.Outcome != smtpclient.TransientFailure {
-		t.Fatalf("first = %+v", r)
-	}
-	e.clock.Advance(301 * time.Second)
-	if r := e.send("a@b.example", "bob@foo.net"); r.Outcome != smtpclient.Delivered {
-		t.Fatalf("retry = %+v", r)
-	}
-	if _, ok := d.Greylister().(*greylist.Sharded); !ok {
-		t.Fatalf("engine = %T, want *greylist.Sharded", d.Greylister())
-	}
-}

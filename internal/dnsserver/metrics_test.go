@@ -16,14 +16,14 @@ func TestMetricsCountQueriesAndRcodes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s.Register(reg)
 
-	s.Handle(dnsmsg.NewQuery(1, "foo.net", dnsmsg.TypeMX))        // noerror
-	s.Handle(dnsmsg.NewQuery(2, "smtp.foo.net", dnsmsg.TypeA))    // noerror
-	s.Handle(dnsmsg.NewQuery(3, "nope.foo.net", dnsmsg.TypeA))    // nxdomain
-	s.Handle(dnsmsg.NewQuery(4, "bar.org", dnsmsg.TypeA))         // refused (no zone)
-	s.Handle(dnsmsg.NewQuery(5, "foo.net", dnsmsg.Type(99)))      // unknown qtype -> other
+	s.Handle(dnsmsg.NewQuery(1, "foo.net", dnsmsg.TypeMX))     // noerror
+	s.Handle(dnsmsg.NewQuery(2, "smtp.foo.net", dnsmsg.TypeA)) // noerror
+	s.Handle(dnsmsg.NewQuery(3, "nope.foo.net", dnsmsg.TypeA)) // nxdomain
+	s.Handle(dnsmsg.NewQuery(4, "bar.org", dnsmsg.TypeA))      // refused (no zone)
+	s.Handle(dnsmsg.NewQuery(5, "foo.net", dnsmsg.Type(99)))   // unknown qtype -> other
 	notQuery := dnsmsg.NewQuery(6, "foo.net", dnsmsg.TypeA)
 	notQuery.Header.OpCode = 2 // STATUS
-	s.Handle(notQuery) // notimpl, counted as a response but not a question
+	s.Handle(notQuery)         // notimpl, counted as a response but not a question
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -225,7 +224,7 @@ func earnedPolicy(threshold time.Duration) Policy {
 }
 
 // promote walks one triplet through the greylisting dance to promotion.
-func promote(t *testing.T, g interface{ Check(Triplet) Verdict }, clock *simtime.Sim, tr Triplet) {
+func promote(t *testing.T, g *Greylister, clock *simtime.Sim, tr Triplet) {
 	t.Helper()
 	if v := g.Check(tr); v.Decision != Defer {
 		t.Fatalf("setup: first attempt = %+v", v)
@@ -415,53 +414,16 @@ func TestSnapshotV1Accepted(t *testing.T) {
 	}
 }
 
-// TestShardedRekeyRouting: the chain is evaluated before shard routing,
-// so every outbound IP of a rekeyed domain lands on the same shard and
-// shares state — the single-engine cross-IP retry test, sharded.
-func TestShardedRekeyRouting(t *testing.T) {
-	clock := simtime.NewSim(simtime.Epoch)
-	p := DefaultPolicy()
-	p.Threshold = 300 * time.Second
-	s := NewSharded(8, p, clock)
-	s.SetChain(NewChain(senderDomainRekey{}))
-
-	if v := s.Check(Triplet{ClientIP: "192.0.2.10", Sender: "n@bulk.example", Recipient: "u@foo.net"}); v.Decision != Defer {
-		t.Fatalf("first attempt = %+v", v)
-	}
-	clock.Advance(301 * time.Second)
-	for i := 0; i < 16; i++ {
-		tr := Triplet{ClientIP: fmt.Sprintf("203.0.113.%d", i), Sender: "n@bulk.example", Recipient: "u@foo.net"}
-		v := s.Check(tr)
-		// The domain key accrues deliveries like any client key, so
-		// after AutoWhitelistAfter deliveries the auto-whitelist takes
-		// over from the known-triplet path — still a pass, still shared.
-		want := ReasonKnownTriplet
-		switch {
-		case i == 0:
-			want = ReasonRetryAccepted
-		case i >= s.Policy().AutoWhitelistAfter:
-			want = ReasonAutoWhitelisted
-		}
-		if v.Decision != Pass || v.Reason != want {
-			t.Fatalf("retry %d = %+v, want pass/%s", i, v, want)
-		}
-	}
-	if st := s.Stats(); st.SPFRekeyed != 17 {
-		t.Fatalf("SPFRekeyed = %d, want 17", st.SPFRekeyed)
-	}
-}
-
-// TestShardedBatchMatchesSequential: CheckBatch with the chain enabled
-// is verdict-for-verdict identical to sequential Check on an identical
+// TestBatchMatchesSequential: CheckBatch with the chain enabled is
+// verdict-for-verdict identical to sequential Check on an identical
 // engine, mixed bypass/rekey/negative items included.
-func TestShardedBatchMatchesSequential(t *testing.T) {
-	build := func() (*Sharded, *simtime.Sim) {
+func TestBatchMatchesSequential(t *testing.T) {
+	build := func() (*Greylister, *simtime.Sim) {
 		clock := simtime.NewSim(simtime.Epoch)
-		p := earnedPolicy(300 * time.Second)
-		s := NewSharded(4, p, clock)
-		s.Whitelist().AddRecipient("postmaster@foo.net")
-		s.SetChain(NewChain(WhitelistStage(s.Whitelist()), senderDomainRekey{}))
-		return s, clock
+		g := New(earnedPolicy(300*time.Second), clock)
+		g.Whitelist().AddRecipient("postmaster@foo.net")
+		g.SetChain(NewChain(WhitelistStage(g.Whitelist()), senderDomainRekey{}))
+		return g, clock
 	}
 	trips := []Triplet{
 		{ClientIP: "192.0.2.1", Sender: "a@one.example", Recipient: "u@foo.net"},
@@ -498,35 +460,5 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 	ss, bs := seq.Stats(), bat.Stats()
 	if ss != bs {
 		t.Errorf("stats diverged: sequential=%+v batch=%+v", ss, bs)
-	}
-}
-
-// TestShardedReshardMergesEarned: loading a snapshot saved with a
-// different shard count replicates the merged earned table everywhere,
-// so routing changes cannot lose earned grants.
-func TestShardedReshardMergesEarned(t *testing.T) {
-	clock := simtime.NewSim(simtime.Epoch)
-	p := earnedPolicy(300 * time.Second)
-	s := NewSharded(4, p, clock)
-	for i := 0; i < 4; i++ {
-		promote(t, s, clock, Triplet{
-			ClientIP: fmt.Sprintf("192.0.2.%d", i), Sender: "a@b.example", Recipient: "u@foo.net"})
-	}
-	if s.EarnedCount() == 0 {
-		t.Fatal("no earned entries to reshard")
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSharded(7, p, clock)
-	if err := s2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		tr := Triplet{ClientIP: fmt.Sprintf("192.0.2.%d", i), Sender: "x@y.example", Recipient: "w@foo.net"}
-		if v := s2.Check(tr); v.Reason != ReasonEarnedWhitelist {
-			t.Fatalf("client %d lost its earned grant after reshard: %+v", i, v)
-		}
 	}
 }

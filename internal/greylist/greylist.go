@@ -226,8 +226,8 @@ type Stats struct {
 	GCDropped         uint64 // records dropped by GC
 }
 
-// add accumulates o into s; Sharded aggregation and snapshot resharding
-// both sum per-shard stats through it.
+// add accumulates o into s; loading a legacy sharded snapshot sums the
+// per-shard stats through it.
 func (s *Stats) add(o Stats) {
 	s.Checks += o.Checks
 	s.DeferredNew += o.DeferredNew
@@ -438,10 +438,7 @@ func (g *Greylister) Stats() Stats { return g.stats.snapshot() }
 // without the exclusive lock. With metrics registered, the wall-clock
 // decision latency lands in the greylist_check_seconds histogram —
 // still allocation-free.
-func (g *Greylister) Check(t Triplet) Verdict {
-	out, _ := g.chain.Load().eval(t)
-	return g.routedCheck(t, out, nil)
-}
+func (g *Greylister) Check(t Triplet) Verdict { return g.CheckTraced(t, nil) }
 
 // CheckTraced is Check with the verdict recorded into tr — the
 // triplet key, decision, reason, wait remaining and attempt count —
@@ -450,23 +447,11 @@ func (g *Greylister) Check(t Triplet) Verdict {
 // /debug/traces links to this very conversation. A nil trace is
 // exactly Check: the hot path is untouched.
 func (g *Greylister) CheckTraced(t Triplet, tr *trace.Trace) Verdict {
-	if tr == nil {
-		return g.Check(t)
-	}
 	ch := g.chain.Load()
 	out, idx := ch.eval(t)
-	if idx >= 0 {
+	if tr != nil && idx >= 0 {
 		tr.Bypass(ch.StageName(idx), out.Action.String())
 	}
-	return g.routedCheck(t, out, tr)
-}
-
-// routedCheck is the post-chain decision entry: the chain has already
-// been evaluated (by this engine's Check/CheckTraced, or by Sharded
-// *before* shard routing, since a rekey changes which shard owns the
-// state). It applies latency instrumentation and trace recording
-// around decide.
-func (g *Greylister) routedCheck(t Triplet, out StageOutcome, tr *trace.Trace) Verdict {
 	var v Verdict
 	inst := g.inst.Load()
 	op := g.obsv.Load()
@@ -815,20 +800,6 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict) []Verdict {
 	return g.storeBatch(ts, rekeys, out)
 }
 
-// storeBatchTimed wraps storeBatch with the engine's batch histograms;
-// the Sharded engine calls it per shard group so per-shard batch sizes
-// and latencies land in the same series the single engine reports.
-func (g *Greylister) storeBatchTimed(ts []Triplet, rekeys []string, out []Verdict) []Verdict {
-	if inst := g.inst.Load(); inst != nil {
-		start := time.Now()
-		out = g.storeBatch(ts, rekeys, out)
-		inst.batchSeconds.ObserveDuration(time.Since(start))
-		inst.batchSize.Observe(float64(len(ts)))
-		return out
-	}
-	return g.storeBatch(ts, rekeys, out)
-}
-
 // storeBatch runs the triplet check for every attempt whose verdict in
 // out is still zero (chain-undecided), sharing one clock read and one
 // trip through the locks. rekeys, when non-nil, carries the per-attempt
@@ -838,7 +809,7 @@ func (g *Greylister) storeBatch(ts []Triplet, rekeys []string, out []Verdict) []
 	now := g.clock.Now()
 
 	var kb keyBuilder
-	var miss []int
+	misses := 0
 
 	g.mu.RLock()
 	for i := range ts {
@@ -853,16 +824,21 @@ func (g *Greylister) storeBatch(ts []Triplet, rekeys []string, out []Verdict) []
 		if v, ok := g.fastPath(clientKey, key, now); ok {
 			out[i] = v
 		} else {
-			miss = append(miss, i)
+			misses++
 		}
 	}
 	g.mu.RUnlock()
 
-	if len(miss) == 0 {
+	if misses == 0 {
 		return out
 	}
+	// The fast path decided everything but the misses, so the zero
+	// verdicts left in out are exactly the attempts to decide here.
 	g.mu.Lock()
-	for _, i := range miss {
+	for i := range ts {
+		if out[i].Decision != 0 {
+			continue
+		}
 		rk := ""
 		if rekeys != nil {
 			rk = rekeys[i]
@@ -879,9 +855,13 @@ func (g *Greylister) storeBatch(ts []Triplet, rekeys []string, out []Verdict) []
 // lowercased sender, NUL) prefix is identical for every triplet; the
 // builder caches it and rebuilds only the recipient suffix until the
 // client or sender string changes.
+//
+// The cache holds lengths into its own arrays, not slices of them: a
+// struct that points into itself escapes to the heap, which would cost
+// CheckBatch an allocation per call.
 type keyBuilder struct {
 	ckBuf, kBuf          [keyBufCap]byte
-	clientKey, prefix    []byte
+	ckLen, prefixLen     int // cached bytes of ckBuf and kBuf; prefixLen 0 = none
 	prevClient, prevSend string
 	prevRekey            string
 	valid                bool
@@ -889,23 +869,36 @@ type keyBuilder struct {
 
 // build returns (clientKey, storage key) for t, keying the client
 // component by rekey (an SPF domain) when non-empty. Both results share
-// the builder's buffers and are invalidated by the next call.
+// the builder's buffers and are invalidated by the next call. A client
+// key or prefix longer than keyBufCap is built on the heap and not
+// cached.
 func (kb *keyBuilder) build(t Triplet, rekey string, subnet bool) (clientKey, key []byte) {
 	if !kb.valid || t.ClientIP != kb.prevClient || rekey != kb.prevRekey {
-		kb.clientKey = appendChainClientKey(kb.ckBuf[:0], t.ClientIP, rekey, subnet)
+		clientKey = appendChainClientKey(kb.ckBuf[:0], t.ClientIP, rekey, subnet)
+		if len(clientKey) > keyBufCap {
+			kb.valid = false
+			return clientKey, t.appendKey(nil, clientKey)
+		}
+		kb.ckLen = len(clientKey)
 		kb.prevClient = t.ClientIP
 		kb.prevRekey = rekey
 		kb.valid = true
-		kb.prefix = nil
+		kb.prefixLen = 0
 	}
-	if kb.prefix == nil || t.Sender != kb.prevSend {
-		p := append(kb.kBuf[:0], kb.clientKey...)
+	clientKey = kb.ckBuf[:kb.ckLen]
+	if kb.prefixLen == 0 || t.Sender != kb.prevSend {
+		p := append(kb.kBuf[:0], clientKey...)
 		p = append(p, 0)
 		p = appendLower(p, t.Sender)
-		kb.prefix = append(p, 0)
+		p = append(p, 0)
+		if len(p) > keyBufCap {
+			kb.prefixLen = 0
+			return clientKey, appendLower(p, t.Recipient)
+		}
+		kb.prefixLen = len(p)
 		kb.prevSend = t.Sender
 	}
-	return kb.clientKey, appendLower(kb.prefix, t.Recipient)
+	return clientKey, appendLower(kb.kBuf[:kb.prefixLen], t.Recipient)
 }
 
 // verdictSlice returns out resized to n, reusing its backing array when

@@ -355,3 +355,45 @@ func TestConcurrentChecks(t *testing.T) {
 		t.Fatalf("checks = %d, want 800", got)
 	}
 }
+
+// TestCheckBatchNoAllocs pins a pipelined RCPT burst at 0 allocs/op on
+// the two serving-path cases: known-passed triplets, decided under the
+// read lock, and chain-negative ones (the whitelist stage misses and
+// the too-soon retry takes the write lock). The verdict slice is
+// reused, as callers do.
+func TestCheckBatchNoAllocs(t *testing.T) {
+	clock := simtime.NewSim(simtime.Epoch)
+	p := DefaultPolicy()
+	p.AutoWhitelistAfter = 0 // keep each burst on its own path
+	g := New(p, clock)
+	burst := func(clientIP string) []Triplet {
+		ts := make([]Triplet, 16)
+		for i := range ts {
+			ts[i] = Triplet{ClientIP: clientIP, Sender: "s@x.example", Recipient: fmt.Sprintf("u%d@foo.net", i)}
+		}
+		return ts
+	}
+	passed, pending := burst("203.0.113.9"), burst("198.51.100.7")
+	out := g.CheckBatch(passed, nil)
+	clock.Advance(301 * time.Second)
+	out = g.CheckBatch(passed, out)
+	out = g.CheckBatch(pending, out)
+
+	for _, c := range []struct {
+		name   string
+		ts     []Triplet
+		reason Reason
+	}{
+		{"known-passed", passed, ReasonKnownTriplet},
+		{"chain-negative", pending, ReasonTooSoon},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { out = g.CheckBatch(c.ts, out) }); allocs != 0 {
+			t.Errorf("%s CheckBatch = %v allocs/op, want 0", c.name, allocs)
+		}
+		for i, v := range out {
+			if v.Reason != c.reason {
+				t.Fatalf("%s verdict %d = %+v, want %s", c.name, i, v, c.reason)
+			}
+		}
+	}
+}

@@ -118,29 +118,3 @@ func SubnetOf(ip string) string {
 	var buf [64]byte
 	return string(appendSubnet(buf[:0], ip))
 }
-
-// fnv1a hashes b with 32-bit FNV-1a — the same function hash/fnv
-// implements, inlined here so shard selection never constructs a hasher
-// or an intermediate key string.
-func fnv1a(b []byte) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= prime
-	}
-	return h
-}
-
-// fnv1aString is fnv1a over a string's bytes without conversion; used
-// when resharding snapshots, where the canonical key is already a map
-// key string.
-func fnv1aString(s string) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
-}

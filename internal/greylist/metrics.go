@@ -51,8 +51,7 @@ var reasonMirrors = []struct {
 	{"bypass-other", func(s Stats) uint64 { return s.PassedBypassOther }},
 }
 
-// registerMirror exports the cumulative Stats counters through stats
-// (Greylister.Stats or the shard-summing Sharded.Stats).
+// registerMirror exports the cumulative Stats counters through stats.
 func registerMirror(reg *metrics.Registry, stats func() Stats) {
 	reg.CounterFunc("greylist_checks_total",
 		"Greylisting checks performed.",
@@ -133,36 +132,6 @@ func (g *Greylister) Register(reg *metrics.Registry) {
 	reg.GaugeFunc("greylist_earned_entries",
 		"Earned-whitelist records.",
 		func() float64 { return float64(g.EarnedCount()) })
-	reg.GaugeFunc("greylist_shards",
-		"Store shards in the engine.",
-		func() float64 { return 1 })
 	registerChain(reg, g.Chain)
 	g.inst.Store(newInstruments(reg))
-}
-
-// Register exports the sharded engine's aggregate counters and gauges;
-// every shard shares one set of histograms, so per-check latencies land
-// in a single greylist_check_seconds series regardless of shard count.
-func (s *Sharded) Register(reg *metrics.Registry) {
-	registerMirror(reg, s.Stats)
-	reg.GaugeFunc("greylist_pending_triplets",
-		"Deferred triplets awaiting their retry.",
-		func() float64 { return float64(s.PendingCount()) })
-	reg.GaugeFunc("greylist_passed_triplets",
-		"Whitelisted (passed) triplets.",
-		func() float64 { return float64(s.PassedCount()) })
-	reg.GaugeFunc("greylist_autowl_clients",
-		"Auto-whitelist client records (summed across shards).",
-		func() float64 { return float64(s.ClientCount()) })
-	reg.GaugeFunc("greylist_earned_entries",
-		"Earned-whitelist records (summed across shards).",
-		func() float64 { return float64(s.EarnedCount()) })
-	reg.GaugeFunc("greylist_shards",
-		"Store shards in the engine.",
-		func() float64 { return float64(len(s.shards)) })
-	registerChain(reg, s.Chain)
-	inst := newInstruments(reg)
-	for _, g := range s.shards {
-		g.inst.Store(inst)
-	}
 }

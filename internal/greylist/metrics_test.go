@@ -32,7 +32,6 @@ var greylistMetricNames = []string{
 	"greylist_pending_triplets",
 	"greylist_passed_triplets",
 	"greylist_autowl_clients",
-	"greylist_shards",
 	"greylist_check_seconds",
 	"greylist_batch_seconds",
 	"greylist_batch_size",
@@ -41,9 +40,8 @@ var greylistMetricNames = []string{
 }
 
 func TestRegisterExportsCatalogue(t *testing.T) {
-	for name, mk := range map[string]func() Engine{
-		"single":  func() Engine { return New(DefaultPolicy(), simtime.NewSim(simtime.Epoch)) },
-		"sharded": func() Engine { return NewSharded(4, DefaultPolicy(), simtime.NewSim(simtime.Epoch)) },
+	for name, mk := range map[string]func() *Greylister{
+		"single": func() *Greylister { return New(DefaultPolicy(), simtime.NewSim(simtime.Epoch)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := mk()
@@ -95,12 +93,12 @@ func TestMirrorTracksVerdicts(t *testing.T) {
 
 func TestMirrorNeverDisagreesWithStats(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
-	s := NewSharded(4, DefaultPolicy(), clock)
+	g := New(DefaultPolicy(), clock)
 	reg := metrics.NewRegistry()
-	s.Register(reg)
+	g.Register(reg)
 
 	for i := 0; i < 40; i++ {
-		s.Check(Triplet{
+		g.Check(Triplet{
 			ClientIP:  fmt.Sprintf("203.0.113.%d", i%8),
 			Sender:    "a@x.example",
 			Recipient: fmt.Sprintf("u%d@foo.net", i%5),
@@ -108,30 +106,30 @@ func TestMirrorNeverDisagreesWithStats(t *testing.T) {
 	}
 	clock.Advance(301 * time.Second)
 	for i := 0; i < 40; i++ {
-		s.Check(Triplet{
+		g.Check(Triplet{
 			ClientIP:  fmt.Sprintf("203.0.113.%d", i%8),
 			Sender:    "a@x.example",
 			Recipient: fmt.Sprintf("u%d@foo.net", i%5),
 		})
 	}
-	s.GC()
+	g.GC()
 
-	st := s.Stats()
+	st := g.Stats()
 	out := exposition(t, reg)
 	for line, want := range map[string]uint64{
-		"greylist_checks_total":                           st.Checks,
-		`greylist_verdicts_total{reason="first-seen"}`:    st.DeferredNew,
+		"greylist_checks_total":                            st.Checks,
+		`greylist_verdicts_total{reason="first-seen"}`:     st.DeferredNew,
 		`greylist_verdicts_total{reason="retry-accepted"}`: st.PassedRetry,
-		`greylist_verdicts_total{reason="known-triplet"}`: st.PassedKnown,
-		"greylist_gc_sweeps_total":                        st.GCSweeps,
-		"greylist_gc_dropped_total":                       st.GCDropped,
+		`greylist_verdicts_total{reason="known-triplet"}`:  st.PassedKnown,
+		"greylist_gc_sweeps_total":                         st.GCSweeps,
+		"greylist_gc_dropped_total":                        st.GCDropped,
 	} {
 		if !strings.Contains(out, fmt.Sprintf("%s %d\n", line, want)) {
 			t.Errorf("mirror disagrees with Stats for %s (want %d):\n%s", line, want, out)
 		}
 	}
-	if st.GCSweeps != 4 { // one sweep per shard
-		t.Errorf("GCSweeps = %d, want 4", st.GCSweeps)
+	if st.GCSweeps != 1 {
+		t.Errorf("GCSweeps = %d, want 1", st.GCSweeps)
 	}
 }
 

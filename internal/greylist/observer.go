@@ -27,18 +27,3 @@ func (g *Greylister) SetObserver(o Observer) {
 	}
 	g.obsv.Store(&o)
 }
-
-// SetObserver installs the observer on the sharded engine: each shard
-// observes its own single checks (after chain evaluation and shard
-// routing), and the Sharded batch path observes whole batches itself —
-// every verdict is reported exactly once either way.
-func (s *Sharded) SetObserver(o Observer) {
-	for _, g := range s.shards {
-		g.SetObserver(o)
-	}
-	if o == nil {
-		s.obsv.Store(nil)
-		return
-	}
-	s.obsv.Store(&o)
-}

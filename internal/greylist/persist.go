@@ -1,9 +1,11 @@
 package greylist
 
 import (
+	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -131,6 +133,58 @@ func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	return &snap, nil
 }
 
+// decodeLegacyShards reads the "shards N\n" + N Save streams format and
+// merges the shards into one snapshot. Triplet keys lived in exactly one
+// shard, so the pending and passed tables are a union. A client's
+// auto-whitelist and earned records accrued in every shard its triplets
+// hashed to: deliveries sum and the newest use wins, and an earned grant
+// keeps its earliest grant time. Stats sum.
+func decodeLegacyShards(br *bufio.Reader) (*snapshot, error) {
+	var n int
+	if _, err := fmt.Fscanf(br, "shards %d\n", &n); err != nil {
+		return nil, fmt.Errorf("greylist: load sharded: %w", err)
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("greylist: load sharded: invalid shard count %d", n)
+	}
+	merged := &snapshot{
+		Version: snapshotVersion,
+		Pending: make(map[string]pendingSnap),
+		Passed:  make(map[string]passedSnap),
+		Clients: make(map[string]clientSnap),
+		Earned:  make(map[string]earnedSnap),
+	}
+	for i := 0; i < n; i++ {
+		snap, err := decodeSnapshot(br)
+		if err != nil {
+			return nil, fmt.Errorf("greylist: load sharded: shard %d: %w", i, err)
+		}
+		maps.Copy(merged.Pending, snap.Pending)
+		maps.Copy(merged.Passed, snap.Passed)
+		for k, v := range snap.Clients {
+			c := merged.Clients[k]
+			c.Deliveries += v.Deliveries
+			if v.LastUsed.After(c.LastUsed) {
+				c.LastUsed = v.LastUsed
+			}
+			merged.Clients[k] = c
+		}
+		for k, v := range snap.Earned {
+			e, ok := merged.Earned[k]
+			if !ok || (!v.GrantedAt.IsZero() && v.GrantedAt.Before(e.GrantedAt)) {
+				e.GrantedAt = v.GrantedAt
+			}
+			e.Deliveries += v.Deliveries
+			if v.LastUsed.After(e.LastUsed) {
+				e.LastUsed = v.LastUsed
+			}
+			merged.Earned[k] = e
+		}
+		merged.Stats.add(snap.Stats)
+	}
+	return merged, nil
+}
+
 // restoreSnapshot replaces the engine's dynamic state with the decoded
 // snapshot's.
 func (g *Greylister) restoreSnapshot(snap *snapshot) {
@@ -169,11 +223,26 @@ func (g *Greylister) restoreSnapshot(snap *snapshot) {
 	g.stats.restore(snap.Stats)
 }
 
+// legacyShardsHeader starts the state that greylistd -shards N (a flag
+// since removed) wrote: "shards N\n", then N Save streams.
+const legacyShardsHeader = "shards "
+
 // Load replaces the greylister's dynamic state with a snapshot written by
-// Save. The policy and whitelist are untouched.
+// Save, or by a -shards N daemon (see decodeLegacyShards). The policy and
+// whitelist are untouched.
 func (g *Greylister) Load(r io.Reader) error {
 	start := time.Now()
-	snap, err := decodeSnapshot(r)
+	// One buffer for the whole stream: gob.NewDecoder wraps a reader
+	// that is not an io.ByteReader in its own bufio.Reader, which would
+	// read past the end of one legacy shard's stream into the next.
+	br := bufio.NewReader(r)
+	var snap *snapshot
+	var err error
+	if head, _ := br.Peek(len(legacyShardsHeader)); string(head) == legacyShardsHeader {
+		snap, err = decodeLegacyShards(br)
+	} else {
+		snap, err = decodeSnapshot(br)
+	}
 	if err != nil {
 		return err
 	}
@@ -199,21 +268,6 @@ func (g *Greylister) LoadFile(path string) error {
 	}
 	defer f.Close()
 	return g.Load(f)
-}
-
-// SaveFile atomically writes the sharded state to path.
-func (s *Sharded) SaveFile(path string) error {
-	return atomicSave(path, s.Save)
-}
-
-// LoadFile restores sharded state written by SaveFile.
-func (s *Sharded) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("greylist: load: %w", err)
-	}
-	defer f.Close()
-	return s.Load(f)
 }
 
 func atomicSave(path string, save func(io.Writer) error) error {

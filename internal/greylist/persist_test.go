@@ -2,8 +2,10 @@ package greylist
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,26 +112,89 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 	}
 }
 
-func TestShardedSaveFileLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sharded.db")
+// legacyShardedStream renders engines as the state a -shards N daemon
+// wrote: "shards N\n", then each shard's Save stream.
+func legacyShardedStream(t *testing.T, shards ...*Greylister) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "shards %d\n", len(shards))
+	for _, g := range shards {
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestLoadLegacyShardedState: state written by a -shards 2 daemon loads
+// into the one engine. Each shard held its own triplets, so the triplet
+// tables are a union; the same client earned auto-whitelist credit and
+// an earned grant in both shards, so those records merge (summed
+// deliveries, newest use, earliest grant); Stats sum. A zero shard
+// count, a missing shard and garbage are refused.
+func TestLoadLegacyShardedState(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
-	s := NewSharded(4, DefaultPolicy(), clock)
-	tr := Triplet{ClientIP: "203.0.113.4", Sender: "a@b.example", Recipient: "u@foo.net"}
-	s.Check(tr)
+	p := earnedPolicy(300 * time.Second)
+	a, b := New(p, clock), New(p, clock)
+	inA := Triplet{ClientIP: "192.0.2.1", Sender: "s@x.example", Recipient: "a@foo.net"}
+	inB := Triplet{ClientIP: "192.0.2.1", Sender: "s@x.example", Recipient: "b@foo.net"}
+	pending := Triplet{ClientIP: "198.51.100.7", Sender: "p@x.example", Recipient: "a@foo.net"}
+	other := Triplet{ClientIP: "192.0.2.1", Sender: "o@y.example", Recipient: "o@foo.net"}
+	a.Check(inA)
+	b.Check(inB)
 	clock.Advance(301 * time.Second)
-	s.Check(tr)
-	if err := s.SaveFile(path); err != nil {
+	a.Check(inA) // promoted in shard a: first grant
+	a.Check(other)
+	a.Check(pending)
+	clock.Advance(301 * time.Second)
+	b.Check(inB) // promoted in shard b: later grant, newest use
+	b.Check(other)
+	grantA, useB := simtime.Epoch.Add(301*time.Second), clock.Now()
+
+	stream := legacyShardedStream(t, a, b)
+	g := New(p, clock)
+	if err := g.Load(bytes.NewReader(stream)); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if g.PendingCount() != 1 || g.PassedCount() != 2 {
+		t.Fatalf("tables: %d pending, %d passed; want 1, 2", g.PendingCount(), g.PassedCount())
+	}
+	g.mu.RLock()
+	snap := g.snapshotLocked()
+	g.mu.RUnlock()
+	c := snap.Clients["192.0.2.1"]
+	if c.Deliveries != 2 || !c.LastUsed.Equal(useB) {
+		t.Errorf("merged client = %+v, want 2 deliveries last used %v", c, useB)
+	}
+	e := snap.Earned["192.0.2.1"]
+	if !e.GrantedAt.Equal(grantA) || !e.LastUsed.Equal(useB) || e.Deliveries != 2 {
+		t.Errorf("merged earned = %+v, want granted %v, last used %v, 2 deliveries", e, grantA, useB)
+	}
+	if got, want := g.Stats().Checks, a.Stats().Checks+b.Stats().Checks; got != want {
+		t.Errorf("Checks = %d, want the shards' sum %d", got, want)
+	}
+	if got := g.Stats().PassedRetry; got != 2 {
+		t.Errorf("PassedRetry = %d, want 2", got)
+	}
+	if v := g.Check(Triplet{ClientIP: "192.0.2.1", Sender: "new@y.example", Recipient: "c@foo.net"}); v.Reason != ReasonEarnedWhitelist || !v.FirstSeen.Equal(grantA) {
+		t.Errorf("merged earned grant = %+v, want earned-whitelist from %v", v, grantA)
+	}
+	if v := g.Check(pending); v.Reason != ReasonRetryAccepted {
+		t.Errorf("pending triplet after load = %+v, want retry-accepted", v)
+	}
+
+	var oneShard bytes.Buffer
+	if err := a.Save(&oneShard); err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewSharded(4, DefaultPolicy(), clock)
-	if err := s2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if v := s2.Check(tr); v.Reason != ReasonKnownTriplet {
-		t.Fatalf("restored = %+v", v)
-	}
-	if err := s2.LoadFile(filepath.Join(dir, "nope.db")); err == nil {
-		t.Fatal("LoadFile on missing path succeeded")
+	for name, bad := range map[string]string{
+		"garbage":       "garbage",
+		"garbage count": "shards x\n",
+		"zero shards":   "shards 0\n",
+		"missing shard": "shards 2\n" + oneShard.String(),
+	} {
+		if err := New(p, clock).Load(strings.NewReader(bad)); err == nil {
+			t.Errorf("Load accepted %s", name)
+		}
 	}
 }

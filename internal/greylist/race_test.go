@@ -10,17 +10,17 @@ import (
 	"repro/internal/simtime"
 )
 
-// TestConcurrentSharded hammers a Sharded engine from many goroutines —
+// TestConcurrentMixedOps hammers the engine from many goroutines —
 // Check, CheckBatch, GC, Save, Stats, counts — while another advances the
 // sim clock, locking in the RWMutex fast path and the atomic record
 // fields under the race detector (go test -race ./internal/greylist/...
 // is part of the tier-1 recipe).
-func TestConcurrentSharded(t *testing.T) {
+func TestConcurrentMixedOps(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
 	p := DefaultPolicy()
 	p.AutoWhitelistAfter = 3
-	s := NewSharded(4, p, clock)
-	s.Whitelist().AddRecipient("postmaster@foo.net")
+	g := New(p, clock)
+	g.Whitelist().AddRecipient("postmaster@foo.net")
 
 	const (
 		workers = 8
@@ -61,25 +61,25 @@ func TestConcurrentSharded(t *testing.T) {
 					batch = append(batch[:0], tr,
 						Triplet{ClientIP: tr.ClientIP, Sender: tr.Sender, Recipient: "postmaster@foo.net"},
 						Triplet{ClientIP: "2001:db8::1", Sender: "v6@x.example", Recipient: "u@foo.net"})
-					out = s.CheckBatch(batch, out)
+					out = g.CheckBatch(batch, out)
 					for j, v := range out {
 						if v.Decision != Defer && v.Decision != Pass {
 							t.Errorf("batch[%d]: zero verdict %+v", j, v)
 						}
 					}
 				case 3:
-					s.GC()
+					g.GC()
 				case 5:
 					var buf bytes.Buffer
-					if err := s.Save(&buf); err != nil {
+					if err := g.Save(&buf); err != nil {
 						t.Errorf("Save: %v", err)
 					}
 				case 7:
-					_ = s.Stats()
-					_ = s.PendingCount()
-					_ = s.PassedCount()
+					_ = g.Stats()
+					_ = g.PendingCount()
+					_ = g.PassedCount()
 				default:
-					if v := s.Check(tr); v.Decision != Defer && v.Decision != Pass {
+					if v := g.Check(tr); v.Decision != Defer && v.Decision != Pass {
 						t.Errorf("check: zero verdict %+v", v)
 					}
 				}
@@ -90,7 +90,7 @@ func TestConcurrentSharded(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-advanced
-	if st := s.Stats(); st.Checks == 0 {
+	if st := g.Stats(); st.Checks == 0 {
 		t.Fatal("no checks counted")
 	}
 }

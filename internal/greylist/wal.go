@@ -1,4 +1,4 @@
-// Write-ahead logging for the greylist engines.
+// Write-ahead logging for the greylist engine.
 //
 // Greylisting only works because the server remembers triplets across the
 // retry window; a daemon that snapshots state solely on clean shutdown
@@ -37,8 +37,7 @@
 // # Checkpoints
 //
 // Compaction pairs the log with a checkpoint file: a 40-byte envelope
-// followed by the engine's Save stream (so a checkpoint written under
-// one shard count loads — resharded — under any other):
+// followed by the engine's Save stream:
 //
 //	envelope (40 B):
 //	  [0:8)   magic "GLCKPT01"
@@ -51,9 +50,9 @@
 //
 // The compaction protocol makes every crash window recoverable:
 //
-//  1. Quiesce: under the engine's exclusive locks the ring is drained,
+//  1. Quiesce: under the engine's exclusive lock the ring is drained,
 //     so the log buffer holds every mutation ever made; the snapshot is
-//     built at that same instant, then the locks are released.
+//     built at that same instant, then the lock is released.
 //  2. The checkpoint (generation G, watermark W = log size at the
 //     barrier) is written atomically (temp file, fsync, rename, fsync
 //     of the directory).
@@ -110,8 +109,8 @@ const (
 	// known-passed fast path's record.
 	walOpTouch
 	// walOpAutoPass refreshes the auto-whitelisted client's last-used
-	// time (payload ns). The key is still the full triplet key so the
-	// record routes to the shard whose client table was touched.
+	// time (payload ns). The key is the full triplet key; replay
+	// applies it to the client prefix.
 	walOpAutoPass
 	// walOpDelPassed deletes an expired passed record (no payload).
 	walOpDelPassed
@@ -260,22 +259,6 @@ type RecoverInfo struct {
 	Generation uint64
 }
 
-// walEngine is the contract OpenWAL needs from an engine. Greylister
-// and Sharded implement it; the methods are unexported because replay
-// and the checkpoint barrier reach into the state tables.
-type walEngine interface {
-	attachWAL(*WAL)
-	applyWALBatch([]walOp)
-	// walBarrier drains w under the engine's exclusive locks and
-	// returns an encoder for the snapshot captured at that barrier.
-	// With detach set the engine's WAL pointers are cleared inside the
-	// same critical section, so no record can follow the final
-	// checkpoint.
-	walBarrier(w *WAL, detach bool) func(io.Writer) error
-	Policy() Policy
-	Load(io.Reader) error
-}
-
 // walOp is one decoded log record.
 type walOp struct {
 	op       byte
@@ -316,7 +299,7 @@ const (
 // come from the engine's check paths and are invisible to callers.
 type WAL struct {
 	cfg    WALConfig
-	engine walEngine
+	engine *Greylister
 	flags  uint32
 
 	// ring is the lock-free appender: producers claim slots with head,
@@ -373,12 +356,8 @@ type WAL struct {
 // checkpoint or log is a fresh start, but any other read error (e.g.
 // permissions) is returned rather than silently re-greylisting the
 // world.
-func OpenWAL(cfg WALConfig, e Engine) (*WAL, RecoverInfo, error) {
+func OpenWAL(cfg WALConfig, g *Greylister) (*WAL, RecoverInfo, error) {
 	var info RecoverInfo
-	we, ok := e.(walEngine)
-	if !ok {
-		return nil, info, fmt.Errorf("greylist: engine %T does not support write-ahead logging", e)
-	}
 	if cfg.Path == "" || cfg.CheckpointPath == "" {
 		return nil, info, errors.New("greylist: wal needs both a log path and a checkpoint path")
 	}
@@ -398,7 +377,7 @@ func OpenWAL(cfg WALConfig, e Engine) (*WAL, RecoverInfo, error) {
 
 	w := &WAL{
 		cfg:    cfg,
-		engine: we,
+		engine: g,
 		wake:   make(chan struct{}, 1),
 		ctl:    make(chan walCtl),
 		done:   make(chan struct{}),
@@ -408,7 +387,7 @@ func OpenWAL(cfg WALConfig, e Engine) (*WAL, RecoverInfo, error) {
 	for i := range w.ring {
 		w.ring[i].seq.Store(uint64(i))
 	}
-	if we.Policy().SubnetKeying {
+	if g.policy.SubnetKeying {
 		w.flags |= walFlagSubnet
 	}
 
@@ -428,7 +407,7 @@ func OpenWAL(cfg WALConfig, e Engine) (*WAL, RecoverInfo, error) {
 	// this point the checkpoint covers everything ever replayed and
 	// the log is empty at a generation past the checkpoint's.
 	w.gen = max(logGen, ckGen) + 1
-	if err := w.writeCheckpoint(w.gen, walHeaderSize, func(wr io.Writer) error { return saveEngine(e, wr) }); err != nil {
+	if err := w.writeCheckpoint(w.gen, walHeaderSize, g.Save); err != nil {
 		return nil, info, err
 	}
 	if err := w.resetLog(); err != nil {
@@ -448,14 +427,10 @@ func OpenWAL(cfg WALConfig, e Engine) (*WAL, RecoverInfo, error) {
 		tr.Finish("recovered")
 	}
 
-	we.attachWAL(w)
+	g.attachWAL(w)
 	go w.run()
 	return w, info, nil
 }
-
-// saveEngine writes e's snapshot stream — the exact bytes Engine.Save
-// produces, so checkpoints load (and reshard) through Engine.Load.
-func saveEngine(e Engine, w io.Writer) error { return e.Save(w) }
 
 // recoverCheckpoint loads the checkpoint file into the engine and
 // returns the (generation, watermark) pair it pairs with. A missing
@@ -717,7 +692,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // append enqueues one record. Producers hold the engine lock covering
 // the mutation (read or write), which is what makes ring order match
 // mutation order; see the package comment. It never allocates for keys
-// that fit the engines' stack buffers, keeping the known-passed fast
+// that fit the engine's stack buffers, keeping the known-passed fast
 // path at 0 allocs/op with the WAL attached.
 func (w *WAL) append(op byte, key []byte, t1, t2 int64, attempts uint32) {
 	if len(key) > walMaxKeyLen {
@@ -929,13 +904,13 @@ func (w *WAL) maybeCompact() {
 }
 
 // compact runs the checkpoint protocol described in the package
-// comment: barrier (drain under engine locks + snapshot), checkpoint
+// comment: barrier (drain under the engine lock + snapshot), checkpoint
 // write, log truncation. With detach the engine stops journaling at
 // the barrier — the Close path.
 func (w *WAL) compact(detach bool) error {
 	start := time.Now()
 	save := w.engine.walBarrier(w, detach)
-	// The barrier drained the ring under the engine's locks: the frame
+	// The barrier drained the ring under the engine's lock: the frame
 	// buffer + file now hold every mutation the snapshot contains.
 	if err := w.writeBuf(); err != nil {
 		w.nCkptErrors.Add(1)

@@ -2,15 +2,14 @@ package greylist
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"time"
 )
 
-// Engine side of the write-ahead log: how Greylister and Sharded
-// journal mutations, replay a recovered log, and quiesce for the
-// checkpoint barrier. The WAL itself (file format, ring, consumer)
-// lives in wal.go.
+// Engine side of the write-ahead log: how the Greylister journals
+// mutations, replays a recovered log, and quiesces for the checkpoint
+// barrier. The WAL itself (file format, ring, consumer) lives in
+// wal.go.
 
 // clientPrefix extracts the client component of a canonical triplet
 // key — the bytes before the first NUL (the key layout appendKey
@@ -125,82 +124,3 @@ func (g *Greylister) walBarrier(w *WAL, detach bool) func(io.Writer) error {
 	g.mu.Unlock()
 	return func(wr io.Writer) error { return encodeSnapshot(wr, snap) }
 }
-
-var _ walEngine = (*Greylister)(nil)
-
-// attachWAL points every shard at the shared WAL; shard locks
-// serialize visibility exactly as in the single-engine case.
-func (s *Sharded) attachWAL(w *WAL) {
-	for _, g := range s.shards {
-		g.attachWAL(w)
-	}
-}
-
-// applyWALBatch routes replayed records to shards by the same key
-// hash shardIndex uses live, so a log written under one shard count
-// replays correctly under any other. Records for different shards
-// commute (shards share no state), so only the per-shard order —
-// which routing preserves — matters. walOpGC carries no key and is a
-// barrier: everything before it is flushed, then every shard sweeps.
-func (s *Sharded) applyWALBatch(ops []walOp) {
-	if len(s.shards) == 1 {
-		s.shards[0].applyWALBatch(ops)
-		return
-	}
-	buckets := make([][]walOp, len(s.shards))
-	flush := func() {
-		for i, b := range buckets {
-			if len(b) > 0 {
-				s.shards[i].applyWALBatch(b)
-				buckets[i] = b[:0]
-			}
-		}
-	}
-	for _, op := range ops {
-		if op.op == walOpGC {
-			flush()
-			one := [1]walOp{op}
-			for _, g := range s.shards {
-				g.applyWALBatch(one[:])
-			}
-			continue
-		}
-		i := int(fnv1a(op.key) % uint32(len(s.shards)))
-		buckets[i] = append(buckets[i], op)
-	}
-	flush()
-}
-
-// walBarrier locks every shard (draining throughout), snapshots them
-// at one instant, optionally detaches, and returns an encoder for the
-// exact stream Sharded.Save writes — so a checkpoint taken at N
-// shards recovers (resharded by Load) at any other count.
-func (s *Sharded) walBarrier(w *WAL, detach bool) func(io.Writer) error {
-	for _, g := range s.shards {
-		w.lockWithDrain(g.mu.TryLock)
-	}
-	w.drainRing()
-	snaps := make([]*snapshot, len(s.shards))
-	for i, g := range s.shards {
-		snaps[i] = g.snapshotLocked()
-		if detach {
-			g.wal = nil
-		}
-	}
-	for _, g := range s.shards {
-		g.mu.Unlock()
-	}
-	return func(wr io.Writer) error {
-		if _, err := fmt.Fprintf(wr, "shards %d\n", len(snaps)); err != nil {
-			return fmt.Errorf("greylist: save sharded: %w", err)
-		}
-		for _, snap := range snaps {
-			if err := encodeSnapshot(wr, snap); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-var _ walEngine = (*Sharded)(nil)

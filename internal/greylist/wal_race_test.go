@@ -9,9 +9,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// TestConcurrentWALCheckVsCompact hammers a WAL-attached sharded
-// engine from many goroutines while compaction, fsync, and flush
-// control requests cycle underneath — the configuration (tiny ring,
+// TestConcurrentWALCheckVsCompact hammers a WAL-attached engine from
+// many goroutines while compaction, fsync, and flush control requests
+// cycle underneath — the configuration (tiny ring,
 // tiny compaction threshold, short sync interval) forces every
 // contended path: producers spinning on a full ring inside engine
 // locks, the consumer taking those same locks via lockWithDrain, and
@@ -20,7 +20,7 @@ import (
 // closed engine's exact tables.
 func TestConcurrentWALCheckVsCompact(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
-	e := NewSharded(4, walTestPolicy(), clock)
+	e := New(walTestPolicy(), clock)
 	dir := t.TempDir()
 	log, ck := walPaths(dir)
 	w, _, err := OpenWAL(WALConfig{
@@ -125,7 +125,7 @@ func TestConcurrentWALCheckVsCompact(t *testing.T) {
 	}
 
 	// Everything the engine holds must be reconstructible from disk.
-	r := NewSharded(4, walTestPolicy(), simtime.NewSim(simtime.Epoch))
+	r := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
 	w2, info, err := OpenWAL(WALConfig{Path: log, CheckpointPath: ck, Sync: SyncNone, CompactBytes: -1}, r)
 	if err != nil {
 		t.Fatalf("recovery OpenWAL: %v", err)
@@ -134,7 +134,7 @@ func TestConcurrentWALCheckVsCompact(t *testing.T) {
 	if info.TornBytes != 0 {
 		t.Errorf("clean Close left %d torn bytes", info.TornBytes)
 	}
-	if got, want := dumpEngineTables(t, r), dumpEngineTables(t, e); got != want {
+	if got, want := dumpTables(r), dumpTables(e); got != want {
 		t.Errorf("recovered tables != closed engine tables\ngot %d bytes, want %d bytes", len(got), len(want))
 	}
 }

@@ -1,9 +1,11 @@
 package greylist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +37,7 @@ func walTestPolicy() Policy {
 // hits, batch checks, periodic GC, and — via the occasional 6 000 s
 // jump — window expiries and lifetime-based deletions. Identical
 // inputs on identical engines produce identical tables.
-func walWorkload(e Engine, clock *simtime.Sim, start, end int) {
+func walWorkload(e *Greylister, clock *simtime.Sim, start, end int) {
 	var out []Verdict
 	for i := start; i < end; i++ {
 		tr := Triplet{
@@ -63,11 +65,11 @@ func walWorkload(e Engine, clock *simtime.Sim, start, end int) {
 	}
 }
 
-// dumpShardTables renders one Greylister's tables as sorted text with
+// dumpTables renders the engine's tables as sorted text with
 // nanosecond timestamps — a canonical form immune to gob's map-order
 // and time-zone encoding variance. Stats are deliberately excluded:
 // they are frozen at checkpoint time, not replayed (see DESIGN.md).
-func dumpShardTables(g *Greylister) string {
+func dumpTables(g *Greylister) string {
 	g.mu.RLock()
 	snap := g.snapshotLocked()
 	g.mu.RUnlock()
@@ -102,56 +104,6 @@ func dumpShardTables(g *Greylister) string {
 	return sb.String()
 }
 
-// dumpEngineTables renders an engine's complete table state (per shard
-// for Sharded) for byte-equivalence assertions.
-func dumpEngineTables(t *testing.T, e Engine) string {
-	t.Helper()
-	switch v := e.(type) {
-	case *Greylister:
-		return dumpShardTables(v)
-	case *Sharded:
-		var sb strings.Builder
-		for i, g := range v.shards {
-			fmt.Fprintf(&sb, "shard %d\n", i)
-			sb.WriteString(dumpShardTables(g))
-		}
-		return sb.String()
-	}
-	t.Fatalf("unknown engine type %T", e)
-	return ""
-}
-
-// dumpTripletTables renders only the triplet-keyed tables (pending,
-// passed) merged across shards — the shard-count-independent view used
-// when recovering a log under a different -shards setting (client
-// records are replicated by reshardLoad, so they have no merged form).
-func dumpTripletTables(t *testing.T, e Engine) string {
-	t.Helper()
-	var shards []*Greylister
-	switch v := e.(type) {
-	case *Greylister:
-		shards = []*Greylister{v}
-	case *Sharded:
-		shards = v.shards
-	default:
-		t.Fatalf("unknown engine type %T", e)
-	}
-	var lines []string
-	for _, g := range shards {
-		g.mu.RLock()
-		snap := g.snapshotLocked()
-		g.mu.RUnlock()
-		for k, v := range snap.Pending {
-			lines = append(lines, fmt.Sprintf("P %q %d %d %d", k, v.FirstSeen.UnixNano(), v.LastSeen.UnixNano(), v.Attempts))
-		}
-		for k, v := range snap.Passed {
-			lines = append(lines, fmt.Sprintf("W %q %d %d %d", k, v.PassedAt.UnixNano(), v.LastUsed.UnixNano(), v.Deliveries))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
 	data, err := os.ReadFile(src)
@@ -170,7 +122,7 @@ func walPaths(dir string) (string, string) {
 
 // openTestWAL opens a WAL with fsync off (tests copy files after an
 // explicit Sync, so the policy is irrelevant to durability here).
-func openTestWAL(t *testing.T, dir string, e Engine, compactBytes int64) (*WAL, RecoverInfo) {
+func openTestWAL(t *testing.T, dir string, e *Greylister, compactBytes int64) (*WAL, RecoverInfo) {
 	t.Helper()
 	log, ck := walPaths(dir)
 	w, info, err := OpenWAL(WALConfig{
@@ -189,17 +141,14 @@ func openTestWAL(t *testing.T, dir string, e Engine, compactBytes int64) (*WAL, 
 // workload on a WAL-attached engine, "kill -9" it (copy the log and
 // checkpoint files, abandoning the live daemon), recover into a fresh
 // engine, and require the recovered tables to be byte-equivalent to an
-// uninterrupted WAL-free run of the same workload — for the
-// single-lock engine and Sharded at several shard counts, with
-// compaction off and with compaction forced repeatedly mid-run.
+// uninterrupted WAL-free run of the same workload — with compaction
+// off and with compaction forced repeatedly mid-run.
 func TestWALReplayEquivalence(t *testing.T) {
 	engines := []struct {
 		name string
-		make func(c simtime.Clock) Engine
+		make func(c simtime.Clock) *Greylister
 	}{
-		{"single", func(c simtime.Clock) Engine { return New(walTestPolicy(), c) }},
-		{"sharded3", func(c simtime.Clock) Engine { return NewSharded(3, walTestPolicy(), c) }},
-		{"sharded8", func(c simtime.Clock) Engine { return NewSharded(8, walTestPolicy(), c) }},
+		{"single", func(c simtime.Clock) *Greylister { return New(walTestPolicy(), c) }},
 	}
 	compactions := []struct {
 		name  string
@@ -238,7 +187,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 				if info.TornBytes != 0 {
 					t.Fatalf("torn bytes after clean sync = %d", info.TornBytes)
 				}
-				if got, want := dumpEngineTables(t, r), dumpEngineTables(t, b); got != want {
+				if got, want := dumpTables(r), dumpTables(b); got != want {
 					t.Errorf("recovered tables differ from uninterrupted run\ngot:\n%s\nwant:\n%s", got, want)
 				}
 			})
@@ -283,7 +232,7 @@ func TestWALTornTailTruncation(t *testing.T) {
 	}
 	cut := bounds[len(bounds)/2]
 
-	recover := func(name string, log []byte) (Engine, RecoverInfo) {
+	recover := func(name string, log []byte) (*Greylister, RecoverInfo) {
 		cdir := t.TempDir()
 		dstLog, dstCk := walPaths(cdir)
 		if err := os.WriteFile(dstLog, log, 0o644); err != nil {
@@ -309,7 +258,7 @@ func TestWALTornTailTruncation(t *testing.T) {
 	if tornInfo.TornBytes != 3 {
 		t.Errorf("torn bytes = %d, want 3", tornInfo.TornBytes)
 	}
-	if got, want := dumpShardTables(torn.(*Greylister)), dumpShardTables(clean.(*Greylister)); got != want {
+	if got, want := dumpTables(torn), dumpTables(clean); got != want {
 		t.Errorf("torn-tail recovery != clean-prefix recovery\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	if tornInfo.ReplayedRecords != cleanInfo.ReplayedRecords {
@@ -322,7 +271,7 @@ func TestWALTornTailTruncation(t *testing.T) {
 	if fullInfo.TornBytes != 7 {
 		t.Errorf("garbage torn bytes = %d, want 7", fullInfo.TornBytes)
 	}
-	if got, want := dumpShardTables(full.(*Greylister)), dumpShardTables(a); got != want {
+	if got, want := dumpTables(full), dumpTables(a); got != want {
 		t.Errorf("garbage-tail recovery != live state\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
@@ -387,47 +336,84 @@ func TestWALCheckpointWatermark(t *testing.T) {
 	// Same generation, watermark at the phase-1 boundary: replay phase 2
 	// only, on top of the phase-1 snapshot.
 	r := recover(build(gen, uint64(watermark)))
-	if got, want := dumpShardTables(r), dumpShardTables(full); got != want {
+	if got, want := dumpTables(r), dumpTables(full); got != want {
 		t.Errorf("watermark skip: recovered != full run\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	// Checkpoint from a later generation: the whole log is stale.
 	r = recover(build(gen+1, 0))
-	if got, want := dumpShardTables(r), dumpShardTables(r1); got != want {
+	if got, want := dumpTables(r), dumpTables(r1); got != want {
 		t.Errorf("stale log: recovered != checkpoint state\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestWALLegacySnapshot feeds OpenWAL a raw pre-WAL Save file as the
-// checkpoint: it must load whole (generation 0) and upgrade to an
-// enveloped checkpoint on the recovery compaction.
+// TestWALLegacySnapshot feeds OpenWAL the checkpoints older daemons
+// left behind: a raw pre-WAL Save file and a -shards 2 state file, each
+// of which must load whole (generation 0) and upgrade to an enveloped
+// checkpoint on the recovery compaction, and a -shards 2 stream inside a
+// checkpoint envelope.
 func TestWALLegacySnapshot(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
 	g := New(walTestPolicy(), clock)
 	walWorkload(g, clock, 0, 120)
-	dir := t.TempDir()
-	_, ck := walPaths(dir)
-	if err := g.SaveFile(ck); err != nil {
+	var saved bytes.Buffer
+	if err := g.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	clock2 := simtime.NewSim(simtime.Epoch)
+	h := New(walTestPolicy(), clock2)
+	walWorkload(h, clock2, 120, 200)
+	sharded := legacyShardedStream(t, g, h)
+	merged := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
+	if err := merged.Load(bytes.NewReader(sharded)); err != nil {
 		t.Fatal(err)
 	}
 
-	r := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
-	w, info := openTestWAL(t, dir, r, -1)
-	defer w.Close()
-	if !info.CheckpointLoaded || !info.LegacySnapshot {
-		t.Fatalf("info = %+v, want legacy snapshot loaded", info)
-	}
-	if got, want := dumpShardTables(r), dumpShardTables(g); got != want {
-		t.Errorf("legacy snapshot load mismatch\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	for _, tc := range []struct {
+		name     string
+		stream   []byte
+		envelope bool
+		want     *Greylister
+	}{
+		{"save", saved.Bytes(), false, g},
+		{"shards", sharded, false, merged},
+		{"shards-enveloped", sharded, true, merged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, ck := walPaths(dir)
+			if tc.envelope {
+				cw := &WAL{cfg: WALConfig{CheckpointPath: ck}}
+				body := func(w io.Writer) error {
+					_, err := w.Write(tc.stream)
+					return err
+				}
+				if err := cw.writeCheckpoint(0, walHeaderSize, body); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := os.WriteFile(ck, tc.stream, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// The recovery compaction rewrote it enveloped: a second recovery
-	// must see a normal checkpoint.
-	r2 := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
-	w2, info2 := openTestWAL(t, dir, r2, -1)
-	defer w2.Close()
-	if !info2.CheckpointLoaded || info2.LegacySnapshot {
-		t.Fatalf("second recovery info = %+v, want enveloped checkpoint", info2)
+			r := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
+			w, info := openTestWAL(t, dir, r, -1)
+			defer w.Close()
+			if !info.CheckpointLoaded || info.LegacySnapshot == tc.envelope {
+				t.Fatalf("info = %+v, want checkpoint loaded with LegacySnapshot=%v", info, !tc.envelope)
+			}
+			if got, want := dumpTables(r), dumpTables(tc.want); got != want {
+				t.Errorf("legacy snapshot load mismatch\ngot:\n%s\nwant:\n%s", got, want)
+			}
+
+			// The recovery compaction rewrote it enveloped: a second
+			// recovery must see a normal checkpoint.
+			r2 := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
+			w2, info2 := openTestWAL(t, dir, r2, -1)
+			defer w2.Close()
+			if !info2.CheckpointLoaded || info2.LegacySnapshot {
+				t.Fatalf("second recovery info = %+v, want enveloped checkpoint", info2)
+			}
+		})
 	}
 }
 
@@ -451,34 +437,6 @@ func TestWALKeyingMismatch(t *testing.T) {
 	_, _, err := OpenWAL(WALConfig{Path: log, CheckpointPath: ck, Sync: SyncNone}, r)
 	if !errors.Is(err, ErrWALMismatch) {
 		t.Fatalf("err = %v, want ErrWALMismatch", err)
-	}
-}
-
-// TestWALCrossShardRecovery recovers a 3-shard crash image into a
-// 5-shard engine: the checkpoint reshards through Load and the log
-// records route by key hash, so every triplet record survives the
-// shard-count change.
-func TestWALCrossShardRecovery(t *testing.T) {
-	clock := simtime.NewSim(simtime.Epoch)
-	a := NewSharded(3, walTestPolicy(), clock)
-	dir := t.TempDir()
-	w, _ := openTestWAL(t, dir, a, 2048)
-	walWorkload(a, clock, 0, 400)
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	cdir := t.TempDir()
-	srcLog, srcCk := walPaths(dir)
-	dstLog, dstCk := walPaths(cdir)
-	copyFile(t, srcLog, dstLog)
-	copyFile(t, srcCk, dstCk)
-
-	r := NewSharded(5, walTestPolicy(), simtime.NewSim(simtime.Epoch))
-	w2, _ := openTestWAL(t, cdir, r, -1)
-	defer w2.Close()
-	if got, want := dumpTripletTables(t, r), dumpTripletTables(t, a); got != want {
-		t.Errorf("5-shard recovery of 3-shard image lost triplet state\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -509,7 +467,7 @@ func TestWALCloseCheckpoints(t *testing.T) {
 	// Detached engine still serves.
 	g.Check(Triplet{ClientIP: "192.0.2.1", Sender: "a@x.example", Recipient: "u@y.example"})
 
-	before := dumpShardTables(g)
+	before := dumpTables(g)
 	r := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
 	w2, info := openTestWAL(t, dir, r, -1)
 	defer w2.Close()
@@ -521,7 +479,7 @@ func TestWALCloseCheckpoints(t *testing.T) {
 	// state must equal g at Close time, which lacks that one pending
 	// record. Easiest: recovered tables must be a subset of g's current
 	// dump minus exactly that record; assert by removing it from g.
-	got := dumpShardTables(r)
+	got := dumpTables(r)
 	if got == before {
 		t.Fatalf("recovery included the un-journaled post-Close check")
 	}

@@ -11,7 +11,7 @@
 // from nolisting in scan data — exactly the ambiguity Section IV-A's
 // two-scan methodology resolves).
 //
-// State is sharded by host hash (mirroring greylist.Sharded): every
+// State is sharded by host hash: every
 // listener and down-flag of one host lives in the shard of that host, so
 // the banner-grab workers and the parallel domain scanners of a
 // paper-scale adoption study probe different hosts without contending on
@@ -88,8 +88,8 @@ func New() *Network {
 	return n
 }
 
-// shardOf picks the shard owning host by FNV-1a hash — the same function
-// the greylist engine shards by, inlined so no hasher is constructed.
+// shardOf picks the shard owning host by FNV-1a hash, inlined so no
+// hasher is constructed.
 func (n *Network) shardOf(host string) *shard {
 	const offset, prime = 2166136261, 16777619
 	h := uint32(offset)

@@ -17,11 +17,11 @@ func TestBufferedRequest(t *testing.T) {
 		want bool
 	}{
 		{"", false},
-		{"\n", false},                     // blank alone is not a request
-		{"\n\n\n", false},                 // ParseRequest skips these and would block
+		{"\n", false},                       // blank alone is not a request
+		{"\n\n\n", false},                   // ParseRequest skips these and would block
 		{"client_address=1.2.3.4\n", false}, // no terminating blank yet
 		{"client_address=1.2.3.4\n\n", true},
-		{"a=1\r\nb=2\r\n\r\n", true}, // CRLF form
+		{"a=1\r\nb=2\r\n\r\n", true},           // CRLF form
 		{"\nclient_address=1.2.3.4\n\n", true}, // stray blank, then a full request
 	}
 	for _, c := range cases {
@@ -40,7 +40,7 @@ func TestBufferedRequest(t *testing.T) {
 func TestDecideBatchMatchesDecide(t *testing.T) {
 	mkServer := func() *Server {
 		clock := simtime.NewSim(simtime.Epoch)
-		g := greylist.NewSharded(4, greylist.Policy{Threshold: 300 * time.Second, RetryWindow: 48 * time.Hour}, clock)
+		g := greylist.New(greylist.Policy{Threshold: 300 * time.Second, RetryWindow: 48 * time.Hour}, clock)
 		s := New(g)
 		s.PrependHeader = true
 		return s
@@ -49,7 +49,7 @@ func TestDecideBatchMatchesDecide(t *testing.T) {
 		rcptRequest("203.0.113.9", "a@b.example", "u@foo.net"),
 		{"protocol_state": "DATA", "client_address": "203.0.113.9", "recipient": "u@foo.net"},
 		rcptRequest("203.0.113.10", "b@b.example", "v@foo.net"),
-		{"protocol_state": "RCPT"}, // incomplete
+		{"protocol_state": "RCPT"},                             // incomplete
 		rcptRequest("203.0.113.9", "a@b.example", "u@foo.net"), // repeat: still deferred
 	}
 

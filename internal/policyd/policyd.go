@@ -98,7 +98,7 @@ const DefaultIdleTimeout = 5 * time.Minute
 
 // Server answers policy requests with greylisting decisions.
 type Server struct {
-	checker greylist.Checker
+	checker *greylist.Greylister
 	// PrependHeader, when true, answers first-accepted retries with a
 	// PREPEND action adding a Postgrey-style tracing header instead of
 	// plain DUNNO.
@@ -118,9 +118,8 @@ type Server struct {
 	requests  uint64
 }
 
-// New returns a policy server over the given greylisting engine
-// (either a *greylist.Greylister or a *greylist.Sharded).
-func New(checker greylist.Checker) *Server {
+// New returns a policy server over the given greylisting engine.
+func New(checker *greylist.Greylister) *Server {
 	return &Server{checker: checker, conns: make(map[net.Conn]struct{})}
 }
 
@@ -314,8 +313,7 @@ func (s *Server) Decide(req Request) Response {
 }
 
 // decide is Decide with an optional trace handle: when tr is non-nil
-// and the engine supports traced checks, the greylist verdict lands in
-// the trace.
+// the greylist verdict lands in the trace.
 func (s *Server) decide(req Request, tr *trace.Trace) Response {
 	// Postgrey only acts at RCPT time; everything else passes.
 	if st := req.ProtocolState(); st != "" && st != "RCPT" {
@@ -324,14 +322,7 @@ func (s *Server) decide(req Request, tr *trace.Trace) Response {
 	if req.ClientAddress() == "" || req.Recipient() == "" {
 		return s.dunno()
 	}
-	t := triplet(req)
-	var v greylist.Verdict
-	if tc, ok := s.checker.(greylist.TracedChecker); ok && tr != nil {
-		v = tc.CheckTraced(t, tr)
-	} else {
-		v = s.checker.Check(t)
-	}
-	return s.actionFor(v)
+	return s.actionFor(s.checker.CheckTraced(triplet(req), tr))
 }
 
 // SetTracer installs (or, with nil, removes) a transaction tracer.
@@ -369,9 +360,9 @@ func policyOutcome(action string) string {
 }
 
 // DecideBatch maps a run of policy requests to actions, answering
-// positionally. When the engine supports batch checking the greylistable
-// requests share one CheckBatch call; semantics match calling Decide on
-// each request in order. The result reuses out when it has capacity.
+// positionally. The greylistable requests share one CheckBatch call;
+// semantics match calling Decide on each request in order. The result
+// reuses out when it has capacity.
 func (s *Server) DecideBatch(reqs []Request, out []Response) []Response {
 	if inst := s.inst.Load(); inst != nil {
 		inst.batchSize.Observe(float64(len(reqs)))
@@ -391,8 +382,7 @@ func (s *Server) DecideBatch(reqs []Request, out []Response) []Response {
 		}
 		return out
 	}
-	bc, ok := s.checker.(greylist.BatchChecker)
-	if !ok || len(reqs) == 1 {
+	if len(reqs) == 1 {
 		for i, req := range reqs {
 			out[i] = s.Decide(req)
 		}
@@ -417,7 +407,7 @@ func (s *Server) DecideBatch(reqs []Request, out []Response) []Response {
 	if len(ts) == 0 {
 		return out
 	}
-	for j, v := range bc.CheckBatch(ts, nil) {
+	for j, v := range s.checker.CheckBatch(ts, nil) {
 		out[pos[j]] = s.actionFor(v)
 	}
 	return out

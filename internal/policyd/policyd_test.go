@@ -175,20 +175,6 @@ func TestPolicyServerCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestPolicyServerWithShardedEngine(t *testing.T) {
-	clock := simtime.NewSim(simtime.Epoch)
-	g := greylist.NewSharded(4, greylist.Policy{Threshold: 300 * time.Second, RetryWindow: time.Hour}, clock)
-	s := New(g)
-	req := rcptRequest("203.0.113.1", "a@b.example", "u@foo.net")
-	if resp := s.Decide(req); !strings.HasPrefix(resp.Action, "DEFER_IF_PERMIT") {
-		t.Fatalf("first = %q", resp.Action)
-	}
-	clock.Advance(301 * time.Second)
-	if resp := s.Decide(req); resp.Action != "DUNNO" {
-		t.Fatalf("retry = %q", resp.Action)
-	}
-}
-
 func TestResponseWrite(t *testing.T) {
 	var sb strings.Builder
 	if err := (Response{Action: "DUNNO"}).Write(&sb); err != nil {
