@@ -35,10 +35,13 @@
 //
 // With -admin-addr, an HTTP listener exposes Prometheus metrics on
 // /metrics, live profiling on /debug/pprof/ and — when -trace-ring is
-// nonzero — the most recent finished session traces on /debug/traces
-// (filter with ?outcome=, ?defense=, ?min_attempts=; see DESIGN.md,
-// "Tracing"). Each trace follows one SMTP session verb by verb through
-// its greylist verdicts to the final outcome.
+// nonzero — a ring of -trace-ring sampled session traces on
+// /debug/traces (filter with ?outcome=, ?defense=, ?min_attempts=; see
+// DESIGN.md, "Tracing"). Each trace follows one SMTP connection verb by
+// verb through its greylist verdicts to the final outcome, capped at
+// 256 events. The ring keeps every session that sent a 4xx or 5xx
+// reply, every session slower than the running p99, and 1 in 64 of the
+// rest; the header counts the sessions it did not keep.
 //
 // The admin listener also carries the live observatory: /observatory
 // serves versioned JSON rollups — per-window verdict counters, retry
@@ -120,7 +123,7 @@ func run() error {
 		tlsKey      = flag.String("tls-key", "", "TLS key file for STARTTLS")
 		tlsSelf     = flag.Bool("tls-self-signed", false, "enable STARTTLS with an ephemeral self-signed certificate")
 		adminAddr   = flag.String("admin-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9925)")
-		traceRing   = flag.Int("trace-ring", 1024, "finished session traces kept for /debug/traces (0 = tracing off); needs -admin-addr")
+		traceRing   = flag.Int("trace-ring", 1024, "slots in the ring of sampled session traces on /debug/traces: deferred, failed and slow sessions plus 1 in 64 of the rest (0 = tracing off); needs -admin-addr")
 		obsWindow   = flag.Duration("obs-window", 10*time.Second, "observatory rollup window duration; needs -admin-addr")
 		obsWindows  = flag.Int("obs-windows", 30, "observatory ring length (closed windows kept for /observatory)")
 	)
@@ -267,15 +270,22 @@ func run() error {
 				return deferReply(g.CheckTraced(greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}, tr))
 			},
 			// Pipelined RCPT bursts take one trip through the engine's
-			// locks instead of one per recipient.
-			OnRcptBatch: func(clientIP, sender string, rcpts []string) []*smtpproto.Reply {
+			// locks instead of one per recipient, and a traced session
+			// records one verdict per recipient. Replies are allocated
+			// only when some recipient is deferred (nil accepts all).
+			OnRcptBatchTraced: func(tr *trace.Trace, clientIP, sender string, rcpts []string) []*smtpproto.Reply {
 				ts := make([]greylist.Triplet, len(rcpts))
 				for i, rcpt := range rcpts {
 					ts[i] = greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}
 				}
-				replies := make([]*smtpproto.Reply, len(rcpts))
-				for i, v := range g.CheckBatch(ts, nil) {
-					replies[i] = deferReply(v)
+				var replies []*smtpproto.Reply
+				for i, v := range g.CheckBatchTraced(ts, nil, tr) {
+					if r := deferReply(v); r != nil {
+						if replies == nil {
+							replies = make([]*smtpproto.Reply, len(rcpts))
+						}
+						replies[i] = r
+					}
 				}
 				return replies
 			},
@@ -403,7 +413,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s/metrics (pprof at /debug/pprof/)\n",
 			admin.Addr())
 		if tracer != nil {
-			fmt.Fprintf(os.Stderr, "session traces on http://%s/debug/traces (ring of %d)\n",
+			fmt.Fprintf(os.Stderr, "sampled session traces on http://%s/debug/traces (ring of %d)\n",
 				admin.Addr(), *traceRing)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command tracelint is a vet-style checker for the tracing discipline:
 // every trace started with Tracer.StartAttempt / StartMessage /
-// StartSession must be finished on every return path of the function
+// StartSession / StartSampledSession must be finished on every return path of the function
 // that started it, or visibly hand the trace off to another owner. An
 // unfinished trace never reaches the ring — the attempt it describes
 // silently vanishes from /debug/traces and JSONL exports, which is
@@ -43,9 +43,10 @@ const tracePath = "repro/internal/trace"
 // startMethods are the trace constructors whose results must be
 // finished.
 var startMethods = map[string]bool{
-	"StartAttempt": true,
-	"StartMessage": true,
-	"StartSession": true,
+	"StartAttempt":        true,
+	"StartMessage":        true,
+	"StartSession":        true,
+	"StartSampledSession": true,
 }
 
 func main() {

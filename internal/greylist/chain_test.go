@@ -416,7 +416,10 @@ func TestSnapshotV1Accepted(t *testing.T) {
 
 // TestBatchMatchesSequential: CheckBatch with the chain enabled is
 // verdict-for-verdict identical to sequential Check on an identical
-// engine, mixed bypass/rekey/negative items included.
+// engine, mixed bypass/rekey/negative items included. The traced twins
+// (CheckBatchTraced vs CheckTraced into a session trace) give the same
+// verdicts and record the same bypass and greylist events, timestamps
+// aside.
 func TestBatchMatchesSequential(t *testing.T) {
 	build := func() (*Greylister, *simtime.Sim) {
 		clock := simtime.NewSim(simtime.Epoch)
@@ -432,33 +435,71 @@ func TestBatchMatchesSequential(t *testing.T) {
 		{ClientIP: "192.0.2.4", Sender: "a@one.example", Recipient: "u@foo.net"},
 		{ClientIP: "192.0.2.5", Sender: "c@three.example", Recipient: "v@foo.net"},
 	}
+	tracer := trace.New(8)
 
-	seq, seqClock := build()
-	var want []Verdict
-	for _, tr := range trips {
-		want = append(want, seq.Check(tr))
-	}
-	seqClock.Advance(301 * time.Second)
-	var want2 []Verdict
-	for _, tr := range trips {
-		want2 = append(want2, seq.Check(tr))
-	}
-
-	bat, batClock := build()
-	got := bat.CheckBatch(trips, nil)
-	batClock.Advance(301 * time.Second)
-	got2 := bat.CheckBatch(trips, nil)
-
-	for i := range trips {
-		if got[i] != want[i] {
-			t.Errorf("round 1 verdict %d: batch=%+v sequential=%+v", i, got[i], want[i])
+	for _, traced := range []bool{false, true} {
+		var seqTr, batTr *trace.Trace
+		if traced {
+			// Unbounded session traces: the comparison must see every
+			// event, and these would outgrow nothing anyway.
+			seqTr = tracer.StartSession(trace.Tags{}, "seq", nil)
+			batTr = tracer.StartSession(trace.Tags{}, "batch", nil)
 		}
-		if got2[i] != want2[i] {
-			t.Errorf("round 2 verdict %d: batch=%+v sequential=%+v", i, got2[i], want2[i])
+		seq, seqClock := build()
+		var want []Verdict
+		for _, tr := range trips {
+			want = append(want, seq.CheckTraced(tr, seqTr))
+		}
+		seqClock.Advance(301 * time.Second)
+		var want2 []Verdict
+		for _, tr := range trips {
+			want2 = append(want2, seq.CheckTraced(tr, seqTr))
+		}
+
+		bat, batClock := build()
+		got := bat.CheckBatchTraced(trips, nil, batTr)
+		batClock.Advance(301 * time.Second)
+		got2 := bat.CheckBatchTraced(trips, nil, batTr)
+
+		for i := range trips {
+			if got[i] != want[i] {
+				t.Errorf("traced=%v round 1 verdict %d: batch=%+v sequential=%+v", traced, i, got[i], want[i])
+			}
+			if got2[i] != want2[i] {
+				t.Errorf("traced=%v round 2 verdict %d: batch=%+v sequential=%+v", traced, i, got2[i], want2[i])
+			}
+		}
+		ss, bs := seq.Stats(), bat.Stats()
+		if ss != bs {
+			t.Errorf("traced=%v stats diverged: sequential=%+v batch=%+v", traced, ss, bs)
+		}
+		if !traced {
+			continue
+		}
+		seqTr.Finish("done")
+		batTr.Finish("done")
+		for _, kind := range []trace.Kind{trace.KindGreylist, trace.KindBypass} {
+			se, be := eventsOf(seqTr, kind), eventsOf(batTr, kind)
+			if len(se) == 0 || len(se) != len(be) {
+				t.Fatalf("%v events: sequential %d, batch %d", kind, len(se), len(be))
+			}
+			for i := range se {
+				if se[i] != be[i] {
+					t.Errorf("%v event %d: sequential %+v, batch %+v", kind, i, se[i], be[i])
+				}
+			}
 		}
 	}
-	ss, bs := seq.Stats(), bat.Stats()
-	if ss != bs {
-		t.Errorf("stats diverged: sequential=%+v batch=%+v", ss, bs)
+}
+
+// eventsOf returns tr's events of one kind with timestamps zeroed.
+func eventsOf(tr *trace.Trace, kind trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind == kind {
+			e.At = time.Time{}
+			out = append(out, e)
+		}
 	}
+	return out
 }

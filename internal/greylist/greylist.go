@@ -441,48 +441,54 @@ func (g *Greylister) Stats() Stats { return g.stats.snapshot() }
 func (g *Greylister) Check(t Triplet) Verdict { return g.CheckTraced(t, nil) }
 
 // CheckTraced is Check with the verdict recorded into tr — the
-// triplet key, decision, reason, wait remaining and attempt count —
-// and, when metrics are registered, the check latency observed with
-// tr's ID as the histogram bucket's exemplar, so a slow bucket on
-// /debug/traces links to this very conversation. A nil trace is
-// exactly Check: the hot path is untouched.
+// triplet, decision, reason, wait remaining and attempt count, plus
+// the deciding bypass stage if one fired — and, when metrics are
+// registered, the check latency observed with tr's ID as the histogram
+// bucket's exemplar (only for a trace that will be kept, see
+// trace.Trace.ExemplarID), so a slow bucket on /debug/traces links to
+// this very conversation. Both events are stamped with the decision's own
+// clock read and store the triplet unformatted, so a traced check
+// allocates nothing. A nil trace is exactly Check: the hot path is
+// untouched.
 func (g *Greylister) CheckTraced(t Triplet, tr *trace.Trace) Verdict {
 	ch := g.chain.Load()
 	out, idx := ch.eval(t)
-	if tr != nil && idx >= 0 {
-		tr.Bypass(ch.StageName(idx), out.Action.String())
-	}
+	now := g.clock.Now()
 	var v Verdict
 	inst := g.inst.Load()
 	op := g.obsv.Load()
 	if inst != nil || op != nil {
 		start := time.Now()
-		v = g.decide(t, out)
+		v = g.decide(t, out, now)
 		elapsed := time.Since(start)
 		if inst != nil {
-			if tr != nil {
-				inst.checkSeconds.ObserveDurationExemplar(elapsed, tr.ID())
-			} else {
-				inst.checkSeconds.ObserveDuration(elapsed)
-			}
+			inst.checkSeconds.ObserveDurationExemplar(elapsed, tr.ExemplarID())
 		}
 		if op != nil {
 			(*op).ObserveVerdict(t, v, int64(elapsed))
 		}
 	} else {
-		v = g.decide(t, out)
+		v = g.decide(t, out, now)
 	}
 	if tr != nil {
-		tr.Greylist(v.Decision.String(), v.Reason.String(), t.String(), v.WaitRemaining, v.Attempts)
+		if idx >= 0 {
+			tr.Bypass(now, ch.StageName(idx), out.Action.String())
+		}
+		traceVerdict(tr, now, t, v)
 	}
 	return v
 }
 
-// decide turns one chain-evaluated attempt into a verdict: a bypass
-// passes outright; otherwise the triplet check runs under the client
-// key the chain chose (the IP, or the SPF domain on a rekey).
-func (g *Greylister) decide(t Triplet, out StageOutcome) Verdict {
-	now := g.clock.Now()
+// traceVerdict records v's greylist event for t into tr, stamped at.
+func traceVerdict(tr *trace.Trace, at time.Time, t Triplet, v Verdict) {
+	tr.Greylist(at, v.Decision.String(), v.Reason.String(),
+		t.ClientIP, t.Sender, t.Recipient, v.WaitRemaining, v.Attempts)
+}
+
+// decide turns one chain-evaluated attempt into a verdict at now: a
+// bypass passes outright; otherwise the triplet check runs under the
+// client key the chain chose (the IP, or the SPF domain on a rekey).
+func (g *Greylister) decide(t Triplet, out StageOutcome, now time.Time) Verdict {
 	g.stats.checks.Add(1)
 
 	if out.Action == StageBypass {
@@ -741,13 +747,22 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 // Verdicts are positionally matched to ts. Semantics are identical to
 // calling Check on each triplet in order at the same instant.
 func (g *Greylister) CheckBatch(ts []Triplet, out []Verdict) []Verdict {
+	return g.CheckBatchTraced(ts, out, nil)
+}
+
+// CheckBatchTraced is CheckBatch with the batch recorded into tr: one
+// bypass event for each attempt a chain stage decided, in order, then
+// one greylist event per attempt, all stamped with the batch's single
+// clock read. A nil trace is exactly CheckBatch; a live one adds no
+// allocation.
+func (g *Greylister) CheckBatchTraced(ts []Triplet, out []Verdict, tr *trace.Trace) []Verdict {
 	inst := g.inst.Load()
 	op := g.obsv.Load()
 	if inst == nil && op == nil {
-		return g.checkBatch(ts, out)
+		return g.checkBatch(ts, out, tr)
 	}
 	start := time.Now()
-	out = g.checkBatch(ts, out)
+	out = g.checkBatch(ts, out, tr)
 	elapsed := time.Since(start)
 	if inst != nil {
 		inst.batchSeconds.ObserveDuration(elapsed)
@@ -764,12 +779,13 @@ func (g *Greylister) CheckBatch(ts []Triplet, out []Verdict) []Verdict {
 	return out
 }
 
-func (g *Greylister) checkBatch(ts []Triplet, out []Verdict) []Verdict {
+func (g *Greylister) checkBatch(ts []Triplet, out []Verdict, tr *trace.Trace) []Verdict {
 	out = verdictSlice(out, len(ts))
 	if len(ts) == 0 {
 		return out
 	}
 	g.stats.checks.Add(uint64(len(ts)))
+	now := g.clock.Now()
 
 	// Evaluate the chain before (and outside) the store locks: stages
 	// may do DNS I/O on a cache miss, which must never run under the
@@ -781,7 +797,10 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict) []Verdict {
 	ch := g.chain.Load()
 	var rekeys []string
 	for i, t := range ts {
-		o, _ := ch.eval(t)
+		o, idx := ch.eval(t)
+		if tr != nil && idx >= 0 {
+			tr.Bypass(now, ch.StageName(idx), o.Action.String())
+		}
 		switch o.Action {
 		case StageBypass:
 			g.countBypass(o.Reason)
@@ -797,17 +816,21 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict) []Verdict {
 			out[i] = Verdict{}
 		}
 	}
-	return g.storeBatch(ts, rekeys, out)
+	out = g.storeBatch(ts, rekeys, out, now)
+	if tr != nil {
+		for i := range ts {
+			traceVerdict(tr, now, ts[i], out[i])
+		}
+	}
+	return out
 }
 
-// storeBatch runs the triplet check for every attempt whose verdict in
-// out is still zero (chain-undecided), sharing one clock read and one
-// trip through the locks. rekeys, when non-nil, carries the per-attempt
-// key domain ("" = key by client IP). Callers have already counted
+// storeBatch runs the triplet check at now for every attempt whose
+// verdict in out is still zero (chain-undecided), sharing one trip
+// through the locks. rekeys, when non-nil, carries the per-attempt key
+// domain ("" = key by client IP). Callers have already counted
 // stats.checks and chain outcomes.
-func (g *Greylister) storeBatch(ts []Triplet, rekeys []string, out []Verdict) []Verdict {
-	now := g.clock.Now()
-
+func (g *Greylister) storeBatch(ts []Triplet, rekeys []string, out []Verdict, now time.Time) []Verdict {
 	var kb keyBuilder
 	misses := 0
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 var testTriplet = Triplet{ClientIP: "203.0.113.9", Sender: "bot@spam.example", Recipient: "victim@foo.net"}
@@ -395,5 +396,60 @@ func TestCheckBatchNoAllocs(t *testing.T) {
 				t.Fatalf("%s verdict %d = %+v, want %s", c.name, i, v, c.reason)
 			}
 		}
+	}
+}
+
+// TestCheckTracedNoAllocs pins tracing's cost on the verdict hot path at
+// 0 allocs/op: CheckTraced and a 16-triplet CheckBatchTraced recording
+// into a live, warmed, capped session trace, on known-passed and
+// chain-negative triplets. The greylist events store the triplet and
+// format it only when read.
+func TestCheckTracedNoAllocs(t *testing.T) {
+	clock := simtime.NewSim(simtime.Epoch)
+	p := DefaultPolicy()
+	p.AutoWhitelistAfter = 0 // keep each burst on its own path
+	g := New(p, clock)
+	burst := func(clientIP string) []Triplet {
+		ts := make([]Triplet, 16)
+		for i := range ts {
+			ts[i] = Triplet{ClientIP: clientIP, Sender: "s@x.example", Recipient: fmt.Sprintf("u%d@foo.net", i)}
+		}
+		return ts
+	}
+	passed, pending := burst("203.0.113.9"), burst("198.51.100.7")
+	out := g.CheckBatch(passed, nil)
+	clock.Advance(301 * time.Second)
+	out = g.CheckBatch(passed, out)
+	out = g.CheckBatch(pending, out)
+
+	tracer := trace.New(16)
+	tr := tracer.StartSampledSession(trace.Tags{}, "203.0.113.9", clock.Now)
+	defer tr.Finish("deferred")
+	for i := 0; i < trace.MaxSessionEvents; i++ { // warm: fill to the cap
+		g.CheckTraced(passed[0], tr)
+	}
+
+	for _, c := range []struct {
+		name   string
+		ts     []Triplet
+		reason Reason
+	}{
+		{"known-passed", passed, ReasonKnownTriplet},
+		{"chain-negative", pending, ReasonTooSoon},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { g.CheckTraced(c.ts[3], tr) }); allocs != 0 {
+			t.Errorf("%s CheckTraced = %v allocs/op, want 0", c.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { out = g.CheckBatchTraced(c.ts, out, tr) }); allocs != 0 {
+			t.Errorf("%s CheckBatchTraced = %v allocs/op, want 0", c.name, allocs)
+		}
+		for i, v := range out {
+			if v.Reason != c.reason {
+				t.Fatalf("%s verdict %d = %+v, want %s", c.name, i, v, c.reason)
+			}
+		}
+	}
+	if tr.Dropped() == 0 {
+		t.Fatal("the session trace never reached its cap")
 	}
 }

@@ -68,11 +68,17 @@ type Hooks struct {
 	// single write; a batch-capable policy engine amortizes its locking
 	// across the burst). Replies are positional: replies[i] answers
 	// recipients[i], nil meaning accept; a short or nil slice accepts
-	// the unmatched tail. When both hooks are set the batch hook
-	// handles pipelined runs and OnRcpt handles lone RCPTs; when only
+	// the unmatched tail. recipients is session scratch, valid only
+	// during the call. When both hooks are set the batch hook handles
+	// pipelined runs and OnRcpt handles lone RCPTs; when only
 	// OnRcptBatch is set it also receives lone RCPTs as length-1
-	// batches.
+	// batches. New wraps a bare OnRcptBatch into OnRcptBatchTraced.
 	OnRcptBatch func(clientIP, sender string, recipients []string) []*smtpproto.Reply
+	// OnRcptBatchTraced, when set, is preferred over OnRcptBatch and
+	// additionally receives the session's trace handle (nil when
+	// untraced), so the policy engine can record one verdict per
+	// recipient of the burst into the session's trace.
+	OnRcptBatchTraced func(tr *trace.Trace, clientIP, sender string, recipients []string) []*smtpproto.Reply
 	// OnMessage runs after the DATA payload is received; returning nil
 	// accepts the message.
 	OnMessage func(env *Envelope) *smtpproto.Reply
@@ -144,9 +150,12 @@ type Config struct {
 	// Tracer, when set, starts a server-originated trace for every
 	// inbound session whose connection does not already carry one —
 	// the greylistd case, where real TCP clients have no trace handle.
-	// Simulated connections carrying the dialing client's trace
-	// (trace.Carrier) always record into that trace instead, tracer or
-	// not. Nil disables server-originated tracing at zero cost.
+	// These are sampled sessions (trace.StartSampledSession): capped at
+	// trace.MaxSessionEvents events and tail-sampled at Finish, since
+	// the client controls their length and rate. Simulated connections
+	// carrying the dialing client's trace (trace.Carrier) always record
+	// into that trace instead, tracer or not. Nil disables
+	// server-originated tracing at zero cost.
 	Tracer *trace.Tracer
 	// Hooks are the policy callbacks.
 	Hooks Hooks
@@ -164,6 +173,9 @@ type Stats struct {
 // Server is an SMTP server. Create with New.
 type Server struct {
 	cfg Config
+	// now is cfg.Clock.Now bound once, so starting a session trace does
+	// not allocate a method value per connection.
+	now func() time.Time
 
 	inst atomic.Pointer[instruments]
 
@@ -224,7 +236,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxRcptBatch == 0 {
 		cfg.MaxRcptBatch = 64
 	}
-	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	if h := cfg.Hooks.OnRcptBatch; h != nil && cfg.Hooks.OnRcptBatchTraced == nil {
+		cfg.Hooks.OnRcptBatchTraced = func(_ *trace.Trace, clientIP, sender string, rcpts []string) []*smtpproto.Reply {
+			return h(clientIP, sender, rcpts)
+		}
+	}
+	s := &Server{cfg: cfg, now: cfg.Clock.Now, conns: make(map[net.Conn]struct{})}
 	s.buildServerReplies()
 	return s
 }
@@ -362,9 +379,21 @@ type session struct {
 	tr *trace.Trace
 	// ownTrace marks a server-originated trace this session must
 	// Finish (carried traces are finished by the dialing client).
-	ownTrace  bool
+	ownTrace bool
+	// curVerb is the verb being answered and verbStart when its service
+	// began; lastReply is the clock read that ended the previous verb.
+	// pipelined records that a complete command line was already
+	// buffered when the last reply went out (flush); that command
+	// starts at lastReply, so a traced verb costs one clock read.
 	curVerb   string
 	verbStart time.Time
+	lastReply time.Time
+	pipelined bool
+
+	// args and rcpts are the pipelined-RCPT batch scratch, reused
+	// across batches and pooled sessions.
+	args  []string
+	rcpts []string
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -376,12 +405,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	sess := s.acquireSession(conn, clientIP)
 	sess.tr = trace.FromConn(conn)
 	if sess.tr == nil && s.cfg.Tracer != nil {
-		sess.tr = s.cfg.Tracer.StartSession(trace.Tags{}, clientIP, s.cfg.Clock.Now)
+		sess.tr = s.cfg.Tracer.StartSampledSession(trace.Tags{}, clientIP, s.now)
 		sess.ownTrace = true
 	}
 	if sess.tr != nil {
 		sess.curVerb = "connect"
-		sess.verbStart = s.cfg.Clock.Now()
+		sess.verbStart = s.now()
 	}
 	inst := s.inst.Load()
 	var start time.Time
@@ -416,13 +445,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		sess.tr.Finish(sess.sessionOutcome())
 	}
 	if inst != nil {
-		if sess.tr != nil {
-			// The session-latency bucket remembers this conversation as
-			// its exemplar, linking slow buckets to concrete dialogs.
-			inst.sessionSeconds.ObserveDurationExemplar(time.Since(start), sess.tr.ID())
-		} else {
-			inst.sessionSeconds.ObserveDuration(time.Since(start))
-		}
+		// The session-latency bucket remembers this conversation as its
+		// exemplar, linking slow buckets to concrete dialogs — but only a
+		// trace the sampler kept, which /debug/traces?id= can resolve.
+		inst.sessionSeconds.ObserveDurationExemplar(time.Since(start), sess.tr.ExemplarID())
 	}
 	sess.release(hook != nil)
 }
@@ -447,7 +473,7 @@ func (sess *session) sendRaw(code int, first string, wire []byte) bool {
 		inst.countReply(code)
 	}
 	if sess.tr != nil {
-		sess.tr.Verb(sess.curVerb, code, first, sess.srv.cfg.Clock.Now().Sub(sess.verbStart))
+		sess.traceVerb(code, first)
 	}
 	if code >= 400 && code < 500 {
 		sess.replies4xx++
@@ -470,8 +496,10 @@ func (sess *session) sendRaw(code int, first string, wire []byte) bool {
 // a different reader (DATA payload, STARTTLS handshake) or close it
 // must force the flush with bw.Flush directly.
 func (sess *session) flush() bool {
+	sess.pipelined = false
 	if n := sess.br.Buffered(); n > 0 {
 		if buf, err := sess.br.Peek(n); err == nil && bytes.IndexByte(buf, '\n') >= 0 {
+			sess.pipelined = true
 			return true
 		}
 	}
@@ -494,15 +522,28 @@ func (sess *session) reply(r smtpproto.Reply) bool {
 	return sess.sendRaw(r.Code, first, sess.out)
 }
 
-// recordVerb appends a per-verb trace event: the verb being answered,
+// traceVerb appends a per-verb trace event: the verb being answered,
 // the reply code and first reply line, and the verb's service time on
-// the server clock. Only called on traced sessions.
-func (sess *session) recordVerb(r smtpproto.Reply) {
-	detail := ""
-	if len(r.Lines) > 0 {
-		detail = r.Lines[0]
+// the server clock, stamped with the one clock read that ends it. Only
+// called on traced sessions.
+func (sess *session) traceVerb(code int, first string) {
+	now := sess.srv.now()
+	sess.tr.Verb(now, sess.curVerb, code, first, now.Sub(sess.verbStart))
+	sess.lastReply = now
+}
+
+// startVerb marks the start of verb's service on a traced session.
+// A command that was already buffered (pipelined behind the previous
+// one) became serviceable when the previous reply was produced, so it
+// reuses that clock read; a command the server had to wait for reads
+// the clock once it arrives.
+func (sess *session) startVerb(verb string) {
+	sess.curVerb = verb
+	if sess.pipelined {
+		sess.verbStart = sess.lastReply
+	} else {
+		sess.verbStart = sess.srv.now()
 	}
-	sess.tr.Verb(sess.curVerb, r.Code, detail, sess.srv.cfg.Clock.Now().Sub(sess.verbStart))
 }
 
 func (sess *session) run() {
@@ -537,8 +578,7 @@ func (sess *session) run() {
 		if err != nil {
 			sess.recordTraceVerb("?")
 			if sess.tr != nil {
-				sess.curVerb = "?"
-				sess.verbStart = s.cfg.Clock.Now()
+				sess.startVerb("?")
 			}
 			if inst := s.inst.Load(); inst != nil {
 				inst.other.Inc()
@@ -550,8 +590,7 @@ func (sess *session) run() {
 		}
 		sess.recordTraceVerb(cmd.Verb)
 		if sess.tr != nil {
-			sess.curVerb = cmd.Verb
-			sess.verbStart = s.cfg.Clock.Now()
+			sess.startVerb(cmd.Verb)
 		}
 		if inst := s.inst.Load(); inst != nil {
 			inst.countCommand(cmd.Verb)
@@ -732,8 +771,8 @@ func (sess *session) handleRcpt(arg string) bool {
 
 // rcptVerdict runs the policy hook for one recipient: OnRcptTraced when
 // set (it sees the session's trace handle, nil on untraced sessions),
-// then OnRcpt, otherwise OnRcptBatch as a length-1 batch, so an engine
-// wired only for batching still vets lone RCPTs.
+// then OnRcpt, otherwise the batch hook as a length-1 batch, so an
+// engine wired only for batching still vets lone RCPTs.
 func (sess *session) rcptVerdict(rcpt string) *smtpproto.Reply {
 	if hook := sess.srv.cfg.Hooks.OnRcptTraced; hook != nil {
 		return hook(sess.tr, sess.clientIP, sess.sender, rcpt)
@@ -741,8 +780,9 @@ func (sess *session) rcptVerdict(rcpt string) *smtpproto.Reply {
 	if hook := sess.srv.cfg.Hooks.OnRcpt; hook != nil {
 		return hook(sess.clientIP, sess.sender, rcpt)
 	}
-	if hook := sess.srv.cfg.Hooks.OnRcptBatch; hook != nil {
-		if rs := hook(sess.clientIP, sess.sender, []string{rcpt}); len(rs) > 0 {
+	if hook := sess.srv.cfg.Hooks.OnRcptBatchTraced; hook != nil {
+		sess.rcpts = append(sess.rcpts[:0], rcpt)
+		if rs := hook(sess.tr, sess.clientIP, sess.sender, sess.rcpts); len(rs) > 0 {
 			return rs[0]
 		}
 	}
@@ -752,19 +792,14 @@ func (sess *session) rcptVerdict(rcpt string) *smtpproto.Reply {
 // handleRcptPipeline handles a RCPT command, and — when a batch hook is
 // configured — drains any further RCPT commands a pipelining client
 // (RFC 2920) has already sent, deciding the whole burst with one
-// OnRcptBatch call and one flush. Any irregularity (bad state, a parse
-// error, the recipient cap, no pipelined data) falls back to the serial
-// per-command path, byte-identical to handling each RCPT alone.
+// OnRcptBatchTraced call and one flush. Any irregularity (bad state, a
+// parse error, the recipient cap, no pipelined data) falls back to the
+// serial per-command path, byte-identical to handling each RCPT alone.
+// Traced sessions batch too: the hook records one verdict per
+// recipient, and the burst's verb events share one clock read.
 func (sess *session) handleRcptPipeline(arg string) bool {
-	if sess.srv.cfg.Hooks.OnRcptBatch == nil ||
-		(sess.state != stateMail && sess.state != stateRcpt) {
-		return sess.handleRcpt(arg)
-	}
-	if sess.tr != nil && sess.srv.cfg.Hooks.OnRcptTraced != nil {
-		// Traced sessions take the serial path so every recipient's
-		// greylist decision lands in the trace; batching would decide
-		// the burst in one opaque call. Tracing is a debugging mode —
-		// fidelity beats the amortized locking here.
+	hook := sess.srv.cfg.Hooks.OnRcptBatchTraced
+	if hook == nil || (sess.state != stateMail && sess.state != stateRcpt) {
 		return sess.handleRcpt(arg)
 	}
 	args := sess.drainPipelinedRcpts(arg)
@@ -772,14 +807,15 @@ func (sess *session) handleRcptPipeline(arg string) bool {
 		return sess.handleRcpt(arg)
 	}
 
-	rcpts := make([]string, len(args))
-	for i, a := range args {
+	rcpts := sess.rcpts[:0]
+	for _, a := range args {
 		r, _, err := smtpproto.ParseRcptArg(a)
 		if err != nil {
 			return sess.serialRcpts(args)
 		}
-		rcpts[i] = r
+		rcpts = append(rcpts, r)
 	}
+	sess.rcpts = rcpts
 	if len(sess.recipients)+len(rcpts) > sess.srv.cfg.MaxRecipients {
 		return sess.serialRcpts(args)
 	}
@@ -788,7 +824,12 @@ func (sess *session) handleRcptPipeline(arg string) bool {
 	if inst != nil {
 		inst.rcptBatchSize.Observe(float64(len(rcpts)))
 	}
-	replies := sess.srv.cfg.Hooks.OnRcptBatch(sess.clientIP, sess.sender, rcpts)
+	replies := hook(sess.tr, sess.clientIP, sess.sender, rcpts)
+	var now time.Time
+	if sess.tr != nil {
+		now = sess.srv.now()
+		sess.lastReply = now
+	}
 	deferred := 0
 	sess.out = sess.out[:0]
 	for i, rcpt := range rcpts {
@@ -811,8 +852,12 @@ func (sess *session) handleRcptPipeline(arg string) bool {
 		if sess.tr != nil {
 			// Same reason: the batch path skips sess.reply, so verb
 			// events are recorded here. Every reply in the burst shares
-			// the batch's service time.
-			sess.recordVerb(*r)
+			// the batch's service time and its one clock read.
+			first := ""
+			if len(r.Lines) > 0 {
+				first = r.Lines[0]
+			}
+			sess.tr.Verb(now, sess.curVerb, r.Code, first, now.Sub(sess.verbStart))
 		}
 		sess.out = r.AppendTo(sess.out)
 	}
@@ -848,7 +893,7 @@ func (sess *session) serialRcpts(args []string) bool {
 // normally). Drained verbs are recorded in the session trace just as the
 // main loop would.
 func (sess *session) drainPipelinedRcpts(arg string) []string {
-	args := []string{arg}
+	args := append(sess.args[:0], arg)
 	max := sess.srv.cfg.MaxRcptBatch
 	for len(args) < max {
 		n := sess.br.Buffered()
@@ -884,6 +929,7 @@ func (sess *session) drainPipelinedRcpts(arg string) []string {
 		}
 		args = append(args, cmd.Arg)
 	}
+	sess.args = args
 	return args
 }
 

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/smtpproto"
 )
@@ -153,6 +154,8 @@ func (s *Server) acquireSession(conn net.Conn, clientIP string) *session {
 	sess.tr = nil
 	sess.ownTrace = false
 	sess.curVerb = ""
+	sess.lastReply = time.Time{}
+	sess.pipelined = false
 	sess.trace = SessionTrace{
 		ClientIP:  clientIP,
 		StartedAt: s.cfg.Clock.Now(),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/smtpproto"
+	"repro/internal/trace"
 )
 
 // scriptConn is a net.Conn that replays a pre-canned client script and
@@ -119,6 +120,48 @@ func BenchmarkServeConnPipelinedRcpt(b *testing.B) {
 	srv := New(Config{
 		Hostname: "bench.example",
 		Hooks: Hooks{
+			OnRcptBatch: func(clientIP, sender string, rcpts []string) []*smtpproto.Reply {
+				return nil // accept all
+			},
+		},
+	})
+	const txns = 16
+	const rcpts = 16
+	lines := []string{"EHLO client.example"}
+	for i := 0; i < txns; i++ {
+		lines = append(lines, "MAIL FROM:<a@b.example>")
+		for j := 0; j < rcpts; j++ {
+			lines = append(lines, "RCPT TO:<u@foo.net>")
+		}
+		lines = append(lines, "RSET")
+	}
+	lines = append(lines, "QUIT")
+	script := wireScript(lines...)
+	conn := &scriptConn{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += txns {
+		conn.Reset(script)
+		srv.serveConn(conn)
+	}
+	if conn.n == 0 {
+		b.Fatal("server wrote nothing")
+	}
+}
+
+// BenchmarkServeConnPipelinedRcptTraced is BenchmarkServeConnPipelinedRcpt
+// on a traced session, wired as greylistd wires it: a session tracer
+// plus no-op traced and batch RCPT hooks. Bursts still batch, and the
+// sampled session trace records one verb event per RCPT. allocs/op is
+// per transaction.
+func BenchmarkServeConnPipelinedRcptTraced(b *testing.B) {
+	srv := New(Config{
+		Hostname: "bench.example",
+		Tracer:   trace.New(1024),
+		Hooks: Hooks{
+			OnRcptTraced: func(tr *trace.Trace, clientIP, sender, rcpt string) *smtpproto.Reply {
+				return nil
+			},
 			OnRcptBatch: func(clientIP, sender string, rcpts []string) []*smtpproto.Reply {
 				return nil // accept all
 			},

@@ -49,7 +49,7 @@ func (tr *Tracer) Handler(extras ...func(io.Writer)) http.Handler {
 					return
 				}
 			}
-			http.Error(w, "trace not found (evicted or never finished)", http.StatusNotFound)
+			http.Error(w, "trace not found (evicted, never finished, or a session the sampler did not keep)", http.StatusNotFound)
 			return
 		}
 
@@ -68,8 +68,10 @@ func (tr *Tracer) Handler(extras ...func(io.Writer)) http.Handler {
 
 		limit := atoiDefault(q.Get("limit"), 100)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "traces: %d retained (capacity %d, %d finished total)\n",
-			tr.Len(), tr.Cap(), tr.Finished())
+		fmt.Fprintf(w, "traces: %d retained (capacity %d, %d finished total, %d not kept by sampling)\n",
+			tr.Len(), tr.Cap(), tr.Finished(), tr.NotKept())
+		fmt.Fprintf(w, "sampling: a session trace holds at most %d events and is kept if it sent a 4xx/5xx reply, ran longer than the running p99 (now %s), or is 1 in %d of the rest; other traces are always kept\n",
+			MaxSessionEvents, tr.slowThreshold(), SampleEvery)
 		writeCounts(w, tr.Counts())
 		fmt.Fprintf(w, "\nshowing %d of %d matching (filters: family=%q defense=%q outcome=%q min_attempts=%s; ?id=HEX for events, ?format=jsonl for export)\n\n",
 			minInt(limit, len(ts)), len(ts), q.Get("family"), q.Get("defense"), q.Get("outcome"), q.Get("min_attempts"))
@@ -130,9 +132,9 @@ func writeCounts(w io.Writer, counts map[string]uint64) {
 func writeTraceLine(w io.Writer, t *Trace) {
 	tags := t.Tags()
 	dur := t.End().Sub(t.Start())
-	fmt.Fprintf(w, "id=%s family=%s sample=%d defense=%s rcpt=%s try=%d outcome=%s events=%d dur=%s\n",
+	fmt.Fprintf(w, "id=%s family=%s sample=%d defense=%s rcpt=%s try=%d outcome=%s events=%d dropped=%d dur=%s\n",
 		FormatID(t.ID()), tags.Family, tags.Sample, tags.Defense,
-		t.Recipient(), t.Try(), t.Outcome(), len(t.Events()), dur)
+		t.Recipient(), t.Try(), t.Outcome(), t.eventCount(), t.Dropped(), dur)
 }
 
 func writeTraceDetail(w io.Writer, t *Trace) {

@@ -32,6 +32,7 @@ type Record struct {
 	Outcome    string        `json:"outcome,omitempty"`
 	Start      string        `json:"start"`
 	End        string        `json:"end,omitempty"`
+	Dropped    int           `json:"dropped,omitempty"` // events a sampled session's cap refused; omitted when 0
 	Events     []EventRecord `json:"events"`
 }
 
@@ -58,12 +59,14 @@ func (t *Trace) Record() Record {
 		Try:        t.try,
 		Outcome:    t.outcome,
 		Start:      t.start.UTC().Format(timeLayout),
+		Dropped:    t.dropped,
 		Events:     make([]EventRecord, len(t.events)),
 	}
 	if !t.end.IsZero() {
 		r.End = t.end.UTC().Format(timeLayout)
 	}
 	for i, e := range t.events {
+		e.render()
 		r.Events[i] = EventRecord{
 			Kind:   e.Kind.String(),
 			At:     e.At.UTC().Format(timeLayout),

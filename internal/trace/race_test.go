@@ -67,13 +67,13 @@ func TestConcurrentRecordingOneTrace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
 			tc.Dial("10.0.0.1:25", nil)
-			tc.Verb("MAIL", 250, "", time.Microsecond)
+			tc.Verb(time.Time{}, "MAIL", 250, "", time.Microsecond)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			tc.Greylist("defer", "too-soon", "k", time.Second, i)
+			tc.Greylist(time.Time{}, "defer", "too-soon", "10.0.0.1", "a@b", "u@d", time.Second, i)
 			_ = tc.Events()
 		}
 	}()
@@ -98,7 +98,7 @@ func TestTracerConcurrentFinishAndExport(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				tc := tr.StartAttempt(Tags{Family: "F", Defense: "greylisting"}, fmt.Sprintf("w%d-%d@d", w, i), i%3, clock.Now)
-				tc.Verb("RCPT", 451, "greylisted", time.Millisecond)
+				tc.Verb(time.Time{}, "RCPT", 451, "greylisted", time.Millisecond)
 				tc.Finish("deferred")
 			}
 		}(w)

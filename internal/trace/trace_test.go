@@ -34,7 +34,10 @@ func TestNilSafety(t *testing.T) {
 	if got := tr.StartSession(Tags{}, "1.2.3.4", nil); got != nil {
 		t.Fatalf("nil tracer StartSession = %v, want nil", got)
 	}
-	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Cap() != 0 || tr.Finished() != 0 || tr.Counts() != nil {
+	if got := tr.StartSampledSession(Tags{}, "1.2.3.4", nil); got != nil {
+		t.Fatalf("nil tracer StartSampledSession = %v, want nil", got)
+	}
+	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Cap() != 0 || tr.Finished() != 0 || tr.NotKept() != 0 || tr.Counts() != nil {
 		t.Fatal("nil tracer accessors should be zero values")
 	}
 	if err := tr.WriteJSONL(io.Discard); err != nil {
@@ -47,14 +50,14 @@ func TestNilSafety(t *testing.T) {
 	tc.Dial("10.0.0.1:25", nil)
 	tc.MX("mx1.example.org", 10, 2, false)
 	tc.MXError("example.org", fmt.Errorf("boom"))
-	tc.Verb("RCPT", 451, "greylisted", time.Second)
-	tc.Greylist("defer", "first-seen", "key", 300*time.Second, 1)
+	tc.Verb(time.Time{}, "RCPT", 451, "greylisted", time.Second)
+	tc.Greylist(time.Time{}, "defer", "first-seen", "10.0.0.1", "a@b", "u@d", 300*time.Second, 1)
 	tc.Policy("dunno", "")
 	tc.Queue("retry-scheduled", "", time.Minute)
 	tc.Add(KindVerb, "x", "y", 1, 0)
 	tc.SetTry(3)
 	tc.Finish("delivered")
-	if tc.ID() != 0 || tc.Try() != 0 || tc.Attempts() != 0 || tc.Outcome() != "" ||
+	if tc.ID() != 0 || tc.ExemplarID() != 0 || tc.Kept() || tc.Dropped() != 0 || tc.Try() != 0 || tc.Attempts() != 0 || tc.Outcome() != "" ||
 		tc.Recipient() != "" || tc.Events() != nil || (tc.Tags() != Tags{}) {
 		t.Fatal("nil trace accessors should be zero values")
 	}
@@ -76,15 +79,15 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	clock.Advance(10 * time.Millisecond)
 	tc.Dial("10.0.0.2:25", nil)
-	tc.Verb("MAIL", 250, "ok", time.Millisecond)
-	tc.Greylist("defer", "first-seen", "10.0.0.99|a@b|u1@example.org", 300*time.Second, 1)
+	tc.Verb(clock.Now(), "MAIL", 250, "ok", time.Millisecond)
+	tc.Greylist(clock.Now(), "defer", "first-seen", "10.0.0.99", "a@b", "u1@example.org", 300*time.Second, 1)
 	clock.Advance(5 * time.Millisecond)
 	if tr.Len() != 0 {
 		t.Fatalf("ring should be empty before Finish, got %d", tr.Len())
 	}
 	tc.Finish("deferred")
 	tc.Finish("delivered") // idempotent: first outcome wins
-	tc.Verb("QUIT", 221, "", 0)
+	tc.Verb(clock.Now(), "QUIT", 221, "", 0)
 
 	if got := tc.Outcome(); got != "deferred" {
 		t.Fatalf("outcome = %q, want deferred", got)
@@ -194,7 +197,7 @@ func TestHandlerFiltersAndDetail(t *testing.T) {
 	tr := New(16)
 	clock := newFakeClock()
 	a := tr.StartAttempt(Tags{Family: "Kelihos", Defense: "greylisting", Sample: 1}, "u1@d", 0, clock.Now)
-	a.Greylist("defer", "first-seen", "k", 300*time.Second, 1)
+	a.Greylist(clock.Now(), "defer", "first-seen", "10.0.0.1", "a@b", "u1@d", 300*time.Second, 1)
 	a.Finish("deferred")
 	b := tr.StartAttempt(Tags{Family: "Kelihos", Defense: "greylisting", Sample: 1}, "u1@d", 3, clock.Now)
 	b.Finish("delivered")
