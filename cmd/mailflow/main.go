@@ -8,12 +8,13 @@
 //
 // -exp soak is the wire-level load harness: an open-loop TCP generator
 // (internal/loadgen) drives a real greylisting SMTP server — an external
-// greylistd via -addr, or an in-process engine+server listening on a
-// real loopback socket — with mixed ham/spam traffic, and reports
-// sustained sessions/sec plus per-verb and per-verdict latency
-// percentiles. -smoke selects a short CI profile; -heap-check fails the
-// run if any phase's heap watermark exceeds the given byte ceiling;
-// -bench-out writes the machine-readable report (BENCH_soak.json).
+// greylistd via -addr, or greylistd itself started in this process
+// (internal/daemon, with greylistd's command line "-listen 127.0.0.1:0
+// -threshold T") on a real loopback socket — with mixed ham/spam
+// traffic, and reports sustained sessions/sec plus per-verb and
+// per-verdict latency percentiles. -smoke selects a short CI profile;
+// -heap-check fails the run if any phase's heap watermark exceeds the
+// given byte ceiling; -bench-out writes the machine-readable report.
 //
 // Usage:
 //
@@ -29,7 +30,10 @@
 // and live profiling on /debug/pprof/ for the duration of the run —
 // useful for profiling long fig5 generations and threshold sweeps. For
 // -exp queue it also serves the finished message traces on
-// /debug/traces.
+// /debug/traces. The in-process soak passes -admin-addr, -obs-window
+// and -obs-windows on to greylistd instead, so the daemon's own admin
+// listener serves the run: its metrics, sampled session traces and
+// observatory, with the load generator's series and sketches added.
 //
 // -trace (queue experiment only) records every queued message as an
 // end-to-end trace — enqueue, MX walk, dials, server verbs, greylist
@@ -43,13 +47,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
+	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/greylist"
+	"repro/internal/daemon"
 	"repro/internal/lab"
 	"repro/internal/loadgen"
 	"repro/internal/maillog"
@@ -58,10 +63,7 @@ import (
 	"repro/internal/mtaqueue"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/simtime"
 	"repro/internal/smtpclient"
-	"repro/internal/smtpproto"
-	"repro/internal/smtpserver"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/webmail"
@@ -117,9 +119,12 @@ func run() error {
 		tracer = trace.New(n)
 	}
 
+	// The in-process soak serves -admin-addr from greylistd's own admin
+	// listener (see runSoak).
+	inProcessSoak := *exp == "soak" && *soakAddr == ""
 	var adminReg *metrics.Registry
 	var obsv *obs.Observatory
-	if *adminAddr != "" {
+	if *adminAddr != "" && !inProcessSoak {
 		reg := metrics.NewRegistry()
 		adminReg = reg
 		metrics.RegisterProcess(reg)
@@ -128,10 +133,10 @@ func run() error {
 			extra = append(extra, metrics.Endpoint{Path: "/debug/traces", Handler: tracer.Handler()})
 		}
 		// The live observatory rides the admin listener: the soak's
-		// in-process engine and load generator (or the queue
-		// experiment's retry scheduler) feed it, /observatory serves
-		// the rollups greyctl renders. One-second windows by default —
-		// soak runs are short and greyctl watch wants fine grain.
+		// load generator (or the queue experiment's retry scheduler)
+		// feeds it, /observatory serves the rollups greyctl renders.
+		// One-second windows by default — soak runs are short and
+		// greyctl watch wants fine grain.
 		obsv = obs.New(obs.Config{Window: *obsWindow, Windows: *obsWindows})
 		obsv.Register(reg)
 		extra = append(extra, obsv.Endpoint())
@@ -295,24 +300,27 @@ func run() error {
 				thr = *threshold
 			}
 		})
-		return runSoak(soakOptions{
-			addr:      *soakAddr,
-			threshold: thr,
-			rate:      *soakRate,
-			ham:       *hamFrac,
-			conns:     *conns,
-			rcptBatch: *rcptBatch,
-			warmup:    *warmup,
-			measure:   *measure,
-			soak:      *soakLen,
-			slo:       *slo,
-			seed:      *seed,
-			smoke:     *smoke,
-			probe:     *probe,
-			heapCheck: *heapCheck,
-			benchOut:  *benchOut,
-			obsv:      obsv,
-		}, adminReg)
+		_, err := runSoak(soakOptions{
+			addr:       *soakAddr,
+			threshold:  thr,
+			rate:       *soakRate,
+			ham:        *hamFrac,
+			conns:      *conns,
+			rcptBatch:  *rcptBatch,
+			warmup:     *warmup,
+			measure:    *measure,
+			soak:       *soakLen,
+			slo:        *slo,
+			seed:       *seed,
+			smoke:      *smoke,
+			probe:      *probe,
+			heapCheck:  *heapCheck,
+			benchOut:   *benchOut,
+			adminAddr:  *adminAddr,
+			obsWindow:  *obsWindow,
+			obsWindows: *obsWindows,
+		}, adminReg, obsv)
+		return err
 
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
@@ -355,15 +363,21 @@ type soakOptions struct {
 	probe     bool
 	heapCheck int64
 	benchOut  string
-	obsv      *obs.Observatory
+	// adminAddr, obsWindow and obsWindows are passed on to the
+	// in-process greylistd.
+	adminAddr  string
+	obsWindow  time.Duration
+	obsWindows int
 }
 
 // runSoak drives internal/loadgen against a real SMTP server over real
-// TCP. With no -addr it stands up the same engine+hook wiring greylistd
-// runs — greylist.Greylister deciding pipelined RCPT batches through
-// smtpserver.Hooks.OnRcptBatch — inside this process on a loopback
-// socket, so the measured path still crosses the kernel TCP stack.
-func runSoak(opt soakOptions, adminReg *metrics.Registry) error {
+// TCP and returns the load generator's report. With no -addr it starts
+// greylistd itself inside this process (internal/daemon, on a loopback
+// socket, so the measured path still crosses the kernel TCP stack); the
+// load generator then registers in the daemon's registry and feeds its
+// observatory, and reg and obsv are ignored. Otherwise reg and obsv,
+// when non-nil, are mailflow's own.
+func runSoak(opt soakOptions, reg *metrics.Registry, obsv *obs.Observatory) (_ *loadgen.Report, err error) {
 	if opt.smoke {
 		// CI profile: small enough for a shared single-core runner,
 		// long enough that a leaky session path shows in the soak
@@ -374,49 +388,28 @@ func runSoak(opt soakOptions, adminReg *metrics.Registry) error {
 
 	addr := opt.addr
 	if addr == "" {
-		g := greylist.New(greylist.Policy{
-			Threshold:    opt.threshold,
-			RetryWindow:  48 * time.Hour,
-			PassLifetime: 35 * 24 * time.Hour,
-		}, simtime.Real{})
-		if adminReg != nil {
-			g.Register(adminReg)
+		// greylistd's own command line; its per-message "accepted:"
+		// lines are not the soak's output.
+		argv := []string{"greylistd", "-listen", "127.0.0.1:0", "-threshold", opt.threshold.String()}
+		if opt.adminAddr != "" {
+			argv = append(argv, "-admin-addr", opt.adminAddr,
+				"-obs-window", opt.obsWindow.String(), "-obs-windows", strconv.Itoa(opt.obsWindows))
 		}
-		if opt.obsv != nil {
-			g.SetObserver(opt.obsv.Greylist())
-			opt.obsv.WatchGreylist(g.Stats)
+		d, serr := daemon.Start(argv, io.Discard)
+		if serr != nil {
+			return nil, serr
 		}
-		srv := smtpserver.New(smtpserver.Config{
-			Hostname:      "soak.localdomain",
-			Clock:         simtime.Real{},
-			StampReceived: true,
-			ReadTimeout:   time.Minute,
-			MaxRcptBatch:  opt.rcptBatch,
-			Hooks: smtpserver.Hooks{
-				OnRcptBatch: func(clientIP, sender string, rcpts []string) []*smtpproto.Reply {
-					ts := make([]greylist.Triplet, len(rcpts))
-					for i, rcpt := range rcpts {
-						ts[i] = greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}
-					}
-					replies := make([]*smtpproto.Reply, len(rcpts))
-					for i, v := range g.CheckBatch(ts, nil) {
-						if v.Decision != greylist.Pass {
-							r := smtpproto.NewReply(451, "4.7.1", "Greylisted, please retry")
-							replies[i] = &r
-						}
-					}
-					return replies
-				},
-			},
-		})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
+		defer func() {
+			if cerr := d.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		addr = d.SMTPAddr().String()
+		reg, obsv = d.Registry(), d.Observatory()
+		fmt.Fprintf(os.Stderr, "in-process greylistd on %s (threshold %v)\n", addr, opt.threshold)
+		if a := d.AdminAddr(); a != nil {
+			fmt.Fprintf(os.Stderr, "admin endpoint on http://%s/metrics (pprof at /debug/pprof/, sampled session traces at /debug/traces, observatory at /observatory)\n", a)
 		}
-		go srv.Serve(l)
-		defer srv.Close()
-		addr = l.Addr().String()
-		fmt.Fprintf(os.Stderr, "in-process greylisting server on %s (threshold %v)\n", addr, opt.threshold)
 	}
 
 	gen := loadgen.New(loadgen.Config{
@@ -431,14 +424,14 @@ func runSoak(opt soakOptions, adminReg *metrics.Registry) error {
 		SLO:          opt.slo,
 		Seed:         opt.seed,
 		Probe:        opt.probe,
-		Obs:          opt.obsv,
+		Obs:          obsv,
 	})
-	if adminReg != nil {
-		gen.Register(adminReg)
+	if reg != nil {
+		gen.Register(reg)
 	}
 	rep, err := gen.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.WriteSummary(os.Stdout)
 
@@ -452,11 +445,11 @@ func runSoak(opt soakOptions, adminReg *metrics.Registry) error {
 		}{"soak", runtime.Version(), runtime.GOOS + "/" + runtime.GOARCH, opt.smoke, rep}
 		buf, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(opt.benchOut, buf, 0o644); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "wrote soak report to %s\n", opt.benchOut)
 	}
@@ -464,11 +457,11 @@ func runSoak(opt soakOptions, adminReg *metrics.Registry) error {
 	if opt.heapCheck > 0 {
 		for _, p := range rep.Phases {
 			if p.HeapMaxBytes > uint64(opt.heapCheck) {
-				return fmt.Errorf("heap check failed: phase %s watermark %d bytes exceeds ceiling %d",
+				return rep, fmt.Errorf("heap check failed: phase %s watermark %d bytes exceeds ceiling %d",
 					p.Name, p.HeapMaxBytes, opt.heapCheck)
 			}
 		}
 		fmt.Printf("heap check ok: every phase watermark under %d bytes\n", opt.heapCheck)
 	}
-	return nil
+	return rep, nil
 }
