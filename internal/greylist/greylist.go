@@ -226,29 +226,6 @@ type Stats struct {
 	GCDropped         uint64 // records dropped by GC
 }
 
-// add accumulates o into s; loading a legacy sharded snapshot sums the
-// per-shard stats through it.
-func (s *Stats) add(o Stats) {
-	s.Checks += o.Checks
-	s.DeferredNew += o.DeferredNew
-	s.DeferredEarly += o.DeferredEarly
-	s.DeferredExpired += o.DeferredExpired
-	s.PassedRetry += o.PassedRetry
-	s.PassedKnown += o.PassedKnown
-	s.PassedWhitelist += o.PassedWhitelist
-	s.PassedAutoClient += o.PassedAutoClient
-	s.PassedDNSWL += o.PassedDNSWL
-	s.PassedRDNS += o.PassedRDNS
-	s.PassedEarned += o.PassedEarned
-	s.PassedBypassOther += o.PassedBypassOther
-	s.SPFRekeyed += o.SPFRekeyed
-	s.EarnedGranted += o.EarnedGranted
-	s.TripletsRecorded += o.TripletsRecorded
-	s.TripletsWhitelist += o.TripletsWhitelist
-	s.GCSweeps += o.GCSweeps
-	s.GCDropped += o.GCDropped
-}
-
 // counters are the live Stats, kept as atomics so the read-locked fast
 // path (and concurrent fast-path checks racing each other) can count
 // without the exclusive lock.

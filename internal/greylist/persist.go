@@ -2,19 +2,24 @@ package greylist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 )
 
-// snapshot is the serialized form of a Greylister's dynamic state. The
-// static whitelist is configuration, not state, and is not serialized.
-// Version 2 added the Earned table; gob decodes version-1 streams into
-// the same struct (Earned stays nil), so old snapshots load unchanged.
+// snapshot is the gob form in which older daemons saved a Greylister's
+// dynamic state. Load still reads it; nothing writes it any more (Save
+// writes the checkpoint body described in wal.go). The static whitelist
+// is configuration, not state, and was never serialized. Version 2
+// added the Earned table; gob decodes version-1 streams into the same
+// struct (Earned stays empty), so old snapshots load unchanged.
 type snapshot struct {
 	Version int
 	Pending map[string]pendingSnap
@@ -49,24 +54,36 @@ type earnedSnap struct {
 
 const snapshotVersion = 2
 
+// ckptChunk sizes the buffers checkpoint bodies are framed into: Save
+// writes one out each time it fills, and the WAL's barrier keeps them
+// in a list until its lock is released.
+const ckptChunk = 256 << 10
+
 // Save writes the greylister's dynamic state (pending and passed triplets,
-// auto-whitelist counters, statistics) to w, so a daemon restart does not
-// reopen the greylisting window for in-flight retries.
+// auto-whitelist and earned-whitelist records, statistics) to w as a
+// checkpoint body (see "Checkpoints" in wal.go), so a daemon restart does
+// not reopen the greylisting window for in-flight retries.
 //
-// Save only reads: pending records are immutable under the read lock
-// (every mutation happens in checkSlow under the exclusive lock) and the
-// mutable fields of passed/client records are atomics. It therefore
-// holds g.mu as a *reader*, so a periodic snapshot of a large table no
-// longer stalls the known-passed fast path the way the previous
-// exclusive-lock implementation did.
+// Save streams straight from the live tables, a buffer at a time, and
+// only reads: pending records are immutable under the read lock (every
+// mutation happens in checkSlow under the exclusive lock) and the
+// mutable fields of the other records are atomics. It therefore holds
+// g.mu only as a *reader*, until the last byte is written: checks that
+// need the exclusive lock wait that long, and, as with any RWMutex,
+// readers arriving after them wait too.
 func (g *Greylister) Save(w io.Writer) error {
 	start := time.Now()
 	g.mu.RLock()
-	snap := g.snapshotLocked()
+	tail, err := g.frameTablesLocked(make([]byte, 0, ckptChunk), func(b []byte) ([]byte, error) {
+		_, err := w.Write(b)
+		return b[:0], err
+	})
 	g.mu.RUnlock()
-
-	if err := encodeSnapshot(w, snap); err != nil {
-		return err
+	if err == nil {
+		_, err = w.Write(tail)
+	}
+	if err != nil {
+		return fmt.Errorf("greylist: save: %w", err)
 	}
 	if inst := g.inst.Load(); inst != nil {
 		inst.saveSeconds.ObserveDuration(time.Since(start))
@@ -74,56 +91,209 @@ func (g *Greylister) Save(w io.Writer) error {
 	return nil
 }
 
-// snapshotLocked builds the serializable snapshot of the tables.
-// Callers hold g.mu (either mode; the loops only read, and the
-// mutable record fields are atomics). Shared by Save and the WAL's
-// checkpoint barrier.
-func (g *Greylister) snapshotLocked() *snapshot {
-	snap := &snapshot{
-		Version: snapshotVersion,
-		Pending: make(map[string]pendingSnap, len(g.pending)),
-		Passed:  make(map[string]passedSnap, len(g.passed)),
-		Clients: make(map[string]clientSnap, len(g.clients)),
-		Earned:  make(map[string]earnedSnap, len(g.earned)),
-		Stats:   g.stats.snapshot(),
+// ckptEncoder frames the records of a checkpoint body into buf. Before
+// a record that would overflow buf's capacity it hands buf to flush and
+// continues in the buffer flush returns; once flush fails it frames
+// nothing more.
+type ckptEncoder struct {
+	buf   []byte
+	n     uint64 // records framed, for the end record
+	flush func([]byte) ([]byte, error)
+	err   error
+}
+
+// record frames one record. An entry whose key is longer than the u16
+// length field can express is left out, as the log leaves out its
+// records.
+func (e *ckptEncoder) record(op byte, key string, payload []byte) {
+	if e.err != nil || len(key) > walMaxKeyLen {
+		return
 	}
+	if len(e.buf) > 0 && len(e.buf)+3+len(key)+len(payload)+4 > cap(e.buf) {
+		if e.buf, e.err = e.flush(e.buf); e.err != nil {
+			return
+		}
+	}
+	e.buf = appendRecord(e.buf, op, key, payload)
+	e.n++
+}
+
+// frameTablesLocked frames the dynamic state as a checkpoint body into
+// buf, handing buf to flush whenever the next record would not fit, and
+// returns the unflushed rest. Callers hold g.mu in either mode: the
+// loops only read, and the mutable record fields are atomics. Save
+// streams through it under the read lock; the WAL's checkpoint barrier
+// frames into memory under the exclusive lock.
+func (g *Greylister) frameTablesLocked(buf []byte, flush func([]byte) ([]byte, error)) ([]byte, error) {
+	le := binary.LittleEndian
+	e := ckptEncoder{buf: buf, flush: flush}
+	e.buf = append(e.buf, stateMagic...)
+	e.buf = le.AppendUint32(e.buf, stateVersion)
+	var p [8 * statsFields]byte
+	for i, n := range [...]int{len(g.pending), len(g.passed), len(g.clients), len(g.earned)} {
+		le.PutUint64(p[8*i:], uint64(n))
+	}
+	e.record(ckptOpCounts, "", p[:32])
+	stats := g.stats.snapshot()
+	for i, f := range stats.fields() {
+		le.PutUint64(p[8*i:], *f)
+	}
+	e.record(ckptOpStats, "", p[:])
 	for k, v := range g.pending {
-		snap.Pending[k] = pendingSnap{FirstSeen: v.firstSeen, LastSeen: v.lastSeen, Attempts: v.attempts}
+		le.PutUint64(p[0:], uint64(v.firstSeen.UnixNano()))
+		le.PutUint64(p[8:], uint64(v.lastSeen.UnixNano()))
+		le.PutUint32(p[16:], uint32(v.attempts))
+		e.record(walOpPendingUpsert, k, p[:20])
 	}
 	for k, v := range g.passed {
-		snap.Passed[k] = passedSnap{
-			PassedAt:   v.passedAt,
-			LastUsed:   time.Unix(0, v.lastUsed.Load()).UTC(),
-			Deliveries: int(v.deliveries.Load()),
-		}
+		le.PutUint64(p[0:], uint64(v.passedAt.UnixNano()))
+		le.PutUint64(p[8:], uint64(v.lastUsed.Load()))
+		le.PutUint64(p[16:], uint64(v.deliveries.Load()))
+		e.record(ckptOpPassed, k, p[:24])
 	}
 	for k, v := range g.clients {
-		snap.Clients[k] = clientSnap{
-			Deliveries: int(v.deliveries.Load()),
-			LastUsed:   time.Unix(0, v.lastUsed.Load()).UTC(),
-		}
+		le.PutUint64(p[0:], uint64(v.lastUsed.Load()))
+		le.PutUint64(p[8:], uint64(v.deliveries.Load()))
+		e.record(ckptOpClient, k, p[:16])
 	}
 	for k, v := range g.earned {
-		snap.Earned[k] = earnedSnap{
-			GrantedAt:  v.grantedAt,
-			LastUsed:   time.Unix(0, v.lastUsed.Load()).UTC(),
-			Deliveries: int(v.deliveries.Load()),
+		le.PutUint64(p[0:], uint64(v.grantedAt.UnixNano()))
+		le.PutUint64(p[8:], uint64(v.lastUsed.Load()))
+		le.PutUint64(p[16:], uint64(v.deliveries.Load()))
+		e.record(ckptOpEarned, k, p[:24])
+	}
+	le.PutUint64(p[0:], e.n)
+	e.record(ckptOpEnd, "", p[:8])
+	return e.buf, e.err
+}
+
+// ckptMinEntry is the smallest entry record a checkpoint can hold (a
+// client record with an empty key): the counts record pre-sizes the
+// maps for no more entries than the unread input could carry at this
+// size each.
+const ckptMinEntry = 3 + 16 + 4
+
+// loadState decodes a checkpoint body from br into fresh tables and
+// swaps them in. avail is how many bytes br's source held when Load
+// began, or -1 if it could not tell. A checkpoint is written
+// atomically, so unlike the log's tail any damage is an error: a record
+// cut short or failing its checksum, an op a checkpoint does not carry,
+// a counts record out of place, an end record missing or miscounting,
+// or bytes after it. The engine's tables are untouched on error.
+func (g *Greylister) loadState(br *bufio.Reader, avail int64) error {
+	le := binary.LittleEndian
+	var hdr [stateHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fmt.Errorf("greylist: load: state header: %w", err)
+	}
+	if v := le.Uint32(hdr[8:]); v != stateVersion {
+		return fmt.Errorf("greylist: load: unsupported state version %d", v)
+	}
+	var (
+		pending map[string]*pendingRecord
+		passed  map[string]*passedRecord
+		clients map[string]*clientRecord
+		earned  map[string]*earnedRecord
+		stats   Stats
+	)
+	rr := recordReader{br: br, size: ckptPayloadSize}
+	for n := uint64(0); ; n++ {
+		op, key, p, err := rr.next()
+		if err == io.EOF {
+			return errors.New("greylist: load: state ends without its end record")
+		}
+		if err != nil {
+			return fmt.Errorf("greylist: load: state record %d: %w", n, err)
+		}
+		if (n == 0) != (op == ckptOpCounts) {
+			return fmt.Errorf("greylist: load: state record %d: op %#x out of place", n, op)
+		}
+		switch op {
+		case ckptOpCounts:
+			budget := uint64(max(avail, 0)) / ckptMinEntry
+			hint := func(i int) int {
+				c := min(le.Uint64(p[8*i:]), budget)
+				budget -= c
+				return int(c)
+			}
+			pending = make(map[string]*pendingRecord, hint(0))
+			passed = make(map[string]*passedRecord, hint(1))
+			clients = make(map[string]*clientRecord, hint(2))
+			earned = make(map[string]*earnedRecord, hint(3))
+		case ckptOpStats:
+			for i, f := range stats.fields() {
+				*f = le.Uint64(p[8*i:])
+			}
+		case walOpPendingUpsert:
+			pending[string(key)] = &pendingRecord{
+				firstSeen: time.Unix(0, int64(le.Uint64(p[0:]))),
+				lastSeen:  time.Unix(0, int64(le.Uint64(p[8:]))),
+				attempts:  int(le.Uint32(p[16:])),
+			}
+		case ckptOpPassed:
+			r := &passedRecord{passedAt: time.Unix(0, int64(le.Uint64(p[0:])))}
+			r.lastUsed.Store(int64(le.Uint64(p[8:])))
+			r.deliveries.Store(int64(le.Uint64(p[16:])))
+			passed[string(key)] = r
+		case ckptOpClient:
+			r := &clientRecord{}
+			r.lastUsed.Store(int64(le.Uint64(p[0:])))
+			r.deliveries.Store(int64(le.Uint64(p[8:])))
+			clients[string(key)] = r
+		case ckptOpEarned:
+			r := &earnedRecord{grantedAt: time.Unix(0, int64(le.Uint64(p[0:])))}
+			r.lastUsed.Store(int64(le.Uint64(p[8:])))
+			r.deliveries.Store(int64(le.Uint64(p[16:])))
+			earned[string(key)] = r
+		case ckptOpEnd:
+			if got := le.Uint64(p); got != n {
+				return fmt.Errorf("greylist: load: end record counts %d records, state holds %d", got, n)
+			}
+			if _, err := br.ReadByte(); err == nil {
+				return errors.New("greylist: load: data after the state's end record")
+			} else if err != io.EOF {
+				return fmt.Errorf("greylist: load: %w", err)
+			}
+			g.installTables(pending, passed, clients, earned, stats)
+			return nil
 		}
 	}
-	return snap
 }
 
-// encodeSnapshot writes one snapshot as Save's gob stream.
-func encodeSnapshot(w io.Writer, snap *snapshot) error {
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("greylist: save: %w", err)
+// statsFields is the number of Stats counters.
+const statsFields = 18
+
+// fields lists s's counters in declaration order, the order a
+// checkpoint's stats record carries them in.
+func (s *Stats) fields() [statsFields]*uint64 {
+	return [statsFields]*uint64{
+		&s.Checks, &s.DeferredNew, &s.DeferredEarly, &s.DeferredExpired,
+		&s.PassedRetry, &s.PassedKnown, &s.PassedWhitelist, &s.PassedAutoClient,
+		&s.PassedDNSWL, &s.PassedRDNS, &s.PassedEarned, &s.PassedBypassOther,
+		&s.SPFRekeyed, &s.EarnedGranted, &s.TripletsRecorded, &s.TripletsWhitelist,
+		&s.GCSweeps, &s.GCDropped,
 	}
-	return nil
 }
 
-// decodeSnapshot reads and validates one serialized snapshot.
+// add accumulates o into s; loading a legacy sharded snapshot sums the
+// per-shard stats through it.
+func (s *Stats) add(o Stats) {
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f += *of[i]
+	}
+}
+
+// decodeSnapshot reads and validates one gob snapshot. It decodes into
+// maps that already exist: gob pre-sizes a nil map by the entry count
+// the stream claims, which damaged bytes can make arbitrarily large.
 func decodeSnapshot(r io.Reader) (*snapshot, error) {
-	var snap snapshot
+	snap := snapshot{
+		Pending: make(map[string]pendingSnap),
+		Passed:  make(map[string]passedSnap),
+		Clients: make(map[string]clientSnap),
+		Earned:  make(map[string]earnedSnap),
+	}
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("greylist: load: %w", err)
 	}
@@ -133,7 +303,7 @@ func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	return &snap, nil
 }
 
-// decodeLegacyShards reads the "shards N\n" + N Save streams format and
+// decodeLegacyShards reads the "shards N\n" + N gob snapshots format and
 // merges the shards into one snapshot. Triplet keys lived in exactly one
 // shard, so the pending and passed tables are a union. A client's
 // auto-whitelist and earned records accrued in every shard its triplets
@@ -214,43 +384,81 @@ func (g *Greylister) restoreSnapshot(snap *snapshot) {
 		earned[k] = e
 	}
 
+	g.installTables(pending, passed, clients, earned, snap.Stats)
+}
+
+// installTables swaps freshly decoded tables and counters in under the
+// exclusive lock.
+func (g *Greylister) installTables(pending map[string]*pendingRecord, passed map[string]*passedRecord,
+	clients map[string]*clientRecord, earned map[string]*earnedRecord, stats Stats) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.pending = pending
 	g.passed = passed
 	g.clients = clients
 	g.earned = earned
-	g.stats.restore(snap.Stats)
+	g.stats.restore(stats)
 }
 
 // legacyShardsHeader starts the state that greylistd -shards N (a flag
-// since removed) wrote: "shards N\n", then N Save streams.
+// since removed) wrote: "shards N\n", then N gob snapshots.
 const legacyShardsHeader = "shards "
 
-// Load replaces the greylister's dynamic state with a snapshot written by
-// Save, or by a -shards N daemon (see decodeLegacyShards). The policy and
-// whitelist are untouched.
+// Load replaces the greylister's dynamic state with a checkpoint body
+// written by Save, or with the gob snapshot an older daemon saved, or
+// with the state a -shards N daemon wrote (see decodeLegacyShards). The
+// policy and whitelist are untouched, and so is all state when Load
+// fails.
 func (g *Greylister) Load(r io.Reader) error {
 	start := time.Now()
+	avail := unread(r)
 	// One buffer for the whole stream: gob.NewDecoder wraps a reader
 	// that is not an io.ByteReader in its own bufio.Reader, which would
 	// read past the end of one legacy shard's stream into the next.
-	br := bufio.NewReader(r)
-	var snap *snapshot
+	br := bufio.NewReaderSize(r, 64<<10)
+	head, _ := br.Peek(len(stateMagic))
 	var err error
-	if head, _ := br.Peek(len(legacyShardsHeader)); string(head) == legacyShardsHeader {
-		snap, err = decodeLegacyShards(br)
-	} else {
-		snap, err = decodeSnapshot(br)
+	switch {
+	case string(head) == stateMagic:
+		err = g.loadState(br, avail)
+	case strings.HasPrefix(string(head), legacyShardsHeader):
+		var snap *snapshot
+		if snap, err = decodeLegacyShards(br); err == nil {
+			g.restoreSnapshot(snap)
+		}
+	default:
+		var snap *snapshot
+		if snap, err = decodeSnapshot(br); err == nil {
+			g.restoreSnapshot(snap)
+		}
 	}
 	if err != nil {
 		return err
 	}
-	g.restoreSnapshot(snap)
 	if inst := g.inst.Load(); inst != nil {
 		inst.loadSeconds.ObserveDuration(time.Since(start))
 	}
 	return nil
+}
+
+// unread reports how many bytes r still holds when it can tell (an
+// in-memory reader or a regular file), and -1 otherwise.
+func unread(r io.Reader) int64 {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case *os.File:
+		st, err := v.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		off, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return st.Size() - off
+	}
+	return -1
 }
 
 // SaveFile atomically writes the state to path (write to a temp file in

@@ -113,15 +113,13 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 }
 
 // legacyShardedStream renders engines as the state a -shards N daemon
-// wrote: "shards N\n", then each shard's Save stream.
+// wrote: "shards N\n", then each shard's gob snapshot.
 func legacyShardedStream(t *testing.T, shards ...*Greylister) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "shards %d\n", len(shards))
 	for _, g := range shards {
-		if err := g.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(gobSnapshot(t, g))
 	}
 	return buf.Bytes()
 }
@@ -160,15 +158,15 @@ func TestLoadLegacyShardedState(t *testing.T) {
 		t.Fatalf("tables: %d pending, %d passed; want 1, 2", g.PendingCount(), g.PassedCount())
 	}
 	g.mu.RLock()
-	snap := g.snapshotLocked()
+	c, e := g.clients["192.0.2.1"], g.earned["192.0.2.1"]
 	g.mu.RUnlock()
-	c := snap.Clients["192.0.2.1"]
-	if c.Deliveries != 2 || !c.LastUsed.Equal(useB) {
-		t.Errorf("merged client = %+v, want 2 deliveries last used %v", c, useB)
+	if c.deliveries.Load() != 2 || c.lastUsed.Load() != useB.UnixNano() {
+		t.Errorf("merged client = %d deliveries last used %d, want 2 last used %v",
+			c.deliveries.Load(), c.lastUsed.Load(), useB)
 	}
-	e := snap.Earned["192.0.2.1"]
-	if !e.GrantedAt.Equal(grantA) || !e.LastUsed.Equal(useB) || e.Deliveries != 2 {
-		t.Errorf("merged earned = %+v, want granted %v, last used %v, 2 deliveries", e, grantA, useB)
+	if !e.grantedAt.Equal(grantA) || e.lastUsed.Load() != useB.UnixNano() || e.deliveries.Load() != 2 {
+		t.Errorf("merged earned = granted %v, last used %d, %d deliveries; want granted %v, last used %v, 2 deliveries",
+			e.grantedAt, e.lastUsed.Load(), e.deliveries.Load(), grantA, useB)
 	}
 	if got, want := g.Stats().Checks, a.Stats().Checks+b.Stats().Checks; got != want {
 		t.Errorf("Checks = %d, want the shards' sum %d", got, want)
@@ -183,15 +181,12 @@ func TestLoadLegacyShardedState(t *testing.T) {
 		t.Errorf("pending triplet after load = %+v, want retry-accepted", v)
 	}
 
-	var oneShard bytes.Buffer
-	if err := a.Save(&oneShard); err != nil {
-		t.Fatal(err)
-	}
+	oneShard := gobSnapshot(t, a)
 	for name, bad := range map[string]string{
 		"garbage":       "garbage",
 		"garbage count": "shards x\n",
 		"zero shards":   "shards 0\n",
-		"missing shard": "shards 2\n" + oneShard.String(),
+		"missing shard": "shards 2\n" + string(oneShard),
 	} {
 		if err := New(p, clock).Load(strings.NewReader(bad)); err == nil {
 			t.Errorf("Load accepted %s", name)

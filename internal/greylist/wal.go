@@ -37,7 +37,7 @@
 // # Checkpoints
 //
 // Compaction pairs the log with a checkpoint file: a 40-byte envelope
-// followed by the engine's Save stream:
+// followed by the engine's Save stream, the checkpoint body:
 //
 //	envelope (40 B):
 //	  [0:8)   magic "GLCKPT01"
@@ -47,6 +47,25 @@
 //	  [24:32) watermark — log offset covered by the snapshot (u64 le)
 //	  [32:36) CRC-32 (IEEE) of bytes [0:32)
 //	  [36:40) zero padding
+//	body:
+//	  [0:8)   magic "GLSTATE1"
+//	  [8:12)  format version (u32 le)
+//	  records, framed exactly like log records:
+//	    one ckptOpCounts (pre-sizes the loader's maps)
+//	    one ckptOpStats
+//	    one per live entry: walOpPendingUpsert, ckptOpPassed,
+//	      ckptOpClient, ckptOpEarned (absolute values; times in
+//	      Unix nanoseconds, as in log records)
+//	    one ckptOpEnd carrying the number of records before it
+//
+// The body is also the whole of a -state file written without the WAL
+// (Save, SaveFile). Load reads it with the log's record reader, but
+// where the log's first bad record just ends its valid prefix, any
+// damage to a checkpoint (it is written atomically) fails the load:
+// a record cut short or failing its CRC, an op not listed above, or a
+// missing end record. Load still reads the gob snapshots older daemons
+// wrote, with or without an envelope; an older daemon cannot read this
+// body.
 //
 // The compaction protocol makes every crash window recoverable:
 //
@@ -80,6 +99,7 @@
 package greylist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -128,6 +148,30 @@ const (
 	// walOpDelEarned deletes an expired earned-whitelist entry (no
 	// payload; key is the full triplet key, client prefix applies).
 	walOpDelEarned
+
+	// Checkpoint-body ops (see "Checkpoints"). A body carries these and
+	// walOpPendingUpsert, all with absolute values; the log carries
+	// none of them.
+
+	// ckptOpCounts leads a body: the pending, passed, client and earned
+	// entry counts (4 × u64), so the loader can pre-size its maps. No
+	// key.
+	ckptOpCounts
+	// ckptOpPassed is one passed triplet: passedAt ns (i64), lastUsed
+	// ns (i64), deliveries (u64).
+	ckptOpPassed
+	// ckptOpClient is one auto-whitelist record, keyed by the client
+	// key: lastUsed ns (i64), deliveries (u64).
+	ckptOpClient
+	// ckptOpEarned is one earned-whitelist record, keyed by the client
+	// key: grantedAt ns (i64), lastUsed ns (i64), deliveries (u64).
+	ckptOpEarned
+	// ckptOpStats carries the Stats counters (u64 each, in the order
+	// Stats.fields lists them). No key.
+	ckptOpStats
+	// ckptOpEnd closes a body: the number of records before it (u64).
+	// No key.
+	ckptOpEnd
 )
 
 const (
@@ -137,6 +181,9 @@ const (
 	ckptMagic        = "GLCKPT01"
 	ckptVersion      = 1
 	ckptEnvelopeSize = 40
+	stateMagic       = "GLSTATE1"
+	stateVersion     = 1
+	stateHeaderSize  = 12
 
 	walFlagSubnet = 1 << 0
 
@@ -151,9 +198,9 @@ const (
 	walOverflowLen = uint16(0xFFFF)
 )
 
-// walPayloadSize maps an op to its fixed payload size; -1 marks an
-// invalid op (framing can never resynchronize past one, so the tail is
-// truncated there).
+// walPayloadSize maps a log op to its fixed payload size; -1 marks an op
+// the log never carries (framing can never resynchronize past one, so
+// the tail is truncated there).
 func walPayloadSize(op byte) int {
 	switch op {
 	case walOpPendingUpsert:
@@ -162,6 +209,26 @@ func walPayloadSize(op byte) int {
 		return 8
 	case walOpDelPassed, walOpDelClient, walOpDelEarned:
 		return 0
+	default:
+		return -1
+	}
+}
+
+// ckptPayloadSize is walPayloadSize for checkpoint bodies.
+func ckptPayloadSize(op byte) int {
+	switch op {
+	case walOpPendingUpsert:
+		return 20
+	case ckptOpEnd:
+		return 8
+	case ckptOpClient:
+		return 16
+	case ckptOpPassed, ckptOpEarned:
+		return 24
+	case ckptOpCounts:
+		return 32
+	case ckptOpStats:
+		return 8 * statsFields
 	default:
 		return -1
 	}
@@ -539,10 +606,7 @@ func (w *WAL) recoverLog(info *RecoverInfo, ckGen, ckWatermark uint64) (gen uint
 		return 0, fmt.Errorf("greylist: wal: %w", err)
 	}
 
-	replayed, good, err := w.replay(f, skip)
-	if err != nil {
-		return 0, err
-	}
+	replayed, good := w.replay(f, skip)
 	info.ReplayedRecords += replayed
 	info.ReplayedBytes += good - skip
 	info.TornBytes += size - good
@@ -553,13 +617,11 @@ func (w *WAL) recoverLog(info *RecoverInfo, ckGen, ckWatermark uint64) (gen uint
 // and applies them to the engine in batches, stopping at the first torn
 // or corrupt record. It returns the record count and the offset one
 // past the last valid record.
-func (w *WAL) replay(r io.Reader, off int64) (replayed int, good int64, err error) {
+func (w *WAL) replay(r io.Reader, off int64) (replayed int, good int64) {
 	const batchRecords = 1024
-	var (
-		scratch [3]byte
-		arena   []byte
-		ops     = make([]walOp, 0, batchRecords)
-	)
+	rr := recordReader{br: bufio.NewReaderSize(r, 64<<10), size: walPayloadSize}
+	var arena []byte
+	ops := make([]walOp, 0, batchRecords)
 	good = off
 	flush := func() {
 		if len(ops) == 0 {
@@ -571,31 +633,14 @@ func (w *WAL) replay(r io.Reader, off int64) (replayed int, good int64, err erro
 		arena = arena[:0]
 	}
 	for {
-		if _, err := io.ReadFull(r, scratch[:1]); err != nil {
-			break // clean end or torn single byte
+		code, key, payload, err := rr.next()
+		if err != nil {
+			break // clean end, or the first torn or corrupt record: truncate here
 		}
-		psize := walPayloadSize(scratch[0])
-		if psize < 0 {
-			break // invalid op: truncate here
-		}
-		if _, err := io.ReadFull(r, scratch[1:3]); err != nil {
-			break
-		}
-		keyLen := int(binary.LittleEndian.Uint16(scratch[1:]))
-		recLen := 3 + keyLen + psize + 4
 		mark := len(arena)
-		arena = append(arena, scratch[:3]...)
-		arena = append(arena, make([]byte, keyLen+psize+4)...)
-		if _, err := io.ReadFull(r, arena[mark+3:mark+recLen]); err != nil {
-			break
-		}
-		rec := arena[mark : mark+recLen]
-		if crc32.ChecksumIEEE(rec[:recLen-4]) != binary.LittleEndian.Uint32(rec[recLen-4:]) {
-			break
-		}
-		op := walOp{op: rec[0], key: rec[3 : 3+keyLen]}
-		payload := rec[3+keyLen : 3+keyLen+psize]
-		switch op.op {
+		arena = append(arena, key...)
+		op := walOp{op: code, key: arena[mark:]}
+		switch code {
 		case walOpPendingUpsert:
 			op.t1 = int64(binary.LittleEndian.Uint64(payload[0:]))
 			op.t2 = int64(binary.LittleEndian.Uint64(payload[8:]))
@@ -605,13 +650,73 @@ func (w *WAL) replay(r io.Reader, off int64) (replayed int, good int64, err erro
 		}
 		ops = append(ops, op)
 		replayed++
-		good += int64(recLen)
+		good += int64(len(rr.rec))
 		if len(ops) >= batchRecords {
 			flush()
 		}
 	}
 	flush()
-	return replayed, good, nil
+	return replayed, good
+}
+
+// recordReader reads the log's record framing (op, u16 key length, key,
+// fixed payload, CRC-32) from a buffered stream. Log replay and
+// checkpoint loading share it; each passes the payload sizes of the ops
+// its stream may carry.
+type recordReader struct {
+	br   *bufio.Reader
+	size func(op byte) int
+	rec  []byte // the last record read, reused across calls
+}
+
+var (
+	errRecordCut      = errors.New("record cut short")
+	errRecordChecksum = errors.New("record checksum mismatch")
+)
+
+// next reads one record. key and payload alias the reader's buffer until
+// the next call. A clean end of input is io.EOF; a record cut short, an
+// op the stream may not carry or a checksum mismatch is an error naming
+// which.
+func (rr *recordReader) next() (op byte, key, payload []byte, err error) {
+	op, err = rr.br.ReadByte()
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	psize := rr.size(op)
+	if psize < 0 {
+		return 0, nil, nil, fmt.Errorf("unknown op %#x", op)
+	}
+	var kl [2]byte
+	if _, err := io.ReadFull(rr.br, kl[:]); err != nil {
+		return 0, nil, nil, errRecordCut
+	}
+	keyLen := int(binary.LittleEndian.Uint16(kl[:]))
+	n := 3 + keyLen + psize + 4
+	if cap(rr.rec) < n {
+		rr.rec = make([]byte, n)
+	}
+	rec := rr.rec[:n]
+	rec[0], rec[1], rec[2] = op, kl[0], kl[1]
+	if _, err := io.ReadFull(rr.br, rec[3:]); err != nil {
+		return 0, nil, nil, errRecordCut
+	}
+	if crc32.ChecksumIEEE(rec[:n-4]) != binary.LittleEndian.Uint32(rec[n-4:]) {
+		return 0, nil, nil, errRecordChecksum
+	}
+	rr.rec = rec
+	return op, rec[3 : 3+keyLen], rec[3+keyLen : n-4], nil
+}
+
+// appendRecord frames one record onto dst: op, u16 key length, key,
+// payload, and the CRC-32 of all of it. The log's consumer and the
+// checkpoint writer share it.
+func appendRecord[K string | []byte](dst []byte, op byte, key K, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, op, byte(len(key)), byte(len(key)>>8))
+	dst = append(dst, key...)
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // resetLog truncates the log file (creating it if needed) and writes a
@@ -750,20 +855,14 @@ func (w *WAL) drainRing() {
 	}
 }
 
-// frame appends one encoded record to the write buffer.
+// frame appends one encoded record to the write buffer. Every op's
+// payload is a prefix of t1, t2, attempts.
 func (w *WAL) frame(op byte, key []byte, t1, t2 int64, attempts uint32) {
-	start := len(w.buf)
-	w.buf = append(w.buf, op, byte(len(key)), byte(len(key)>>8))
-	w.buf = append(w.buf, key...)
-	switch op {
-	case walOpPendingUpsert:
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(t1))
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(t2))
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, attempts)
-	case walOpPromote, walOpTouch, walOpAutoPass, walOpGC, walOpEarnTouch:
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(t1))
-	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf[start:]))
+	var p [20]byte
+	binary.LittleEndian.PutUint64(p[0:], uint64(t1))
+	binary.LittleEndian.PutUint64(p[8:], uint64(t2))
+	binary.LittleEndian.PutUint32(p[16:], attempts)
+	w.buf = appendRecord(w.buf, op, key, p[:walPayloadSize(op)])
 	w.nRecords.Add(1)
 }
 
@@ -812,7 +911,7 @@ func (w *WAL) run() {
 		w.errMsg.Store(&msg)
 		w.failed.Store(true)
 		if w.engine != nil {
-			w.engine.walBarrier(w, true) // detach; the drain lands in the dead buffer
+			w.engine.detachWAL(w)
 		}
 		w.f.Close()
 	}

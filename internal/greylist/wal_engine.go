@@ -106,10 +106,11 @@ func (g *Greylister) applyOpLocked(op walOp) {
 
 // walBarrier quiesces the engine for a checkpoint: under the
 // exclusive lock it drains the ring (no producer can be mid-append
-// while we hold the lock its mutation required), snapshots the
-// tables, and — on the Close path — detaches the WAL inside the same
-// critical section so no record can follow the final checkpoint. The
-// returned encoder writes the exact bytes Save would.
+// while we hold the lock its mutation required), frames the tables into
+// memory as a checkpoint body, and — on the Close path — detaches the
+// WAL inside the same critical section so no record can follow the
+// final checkpoint. The returned writer writes those bytes after the
+// lock is gone; they are what Save would have written at the barrier.
 //
 // The lock is acquired with lockWithDrain: a producer yielding on a
 // full ring inside a read lock must be drained before it can release
@@ -117,10 +118,32 @@ func (g *Greylister) applyOpLocked(op walOp) {
 func (g *Greylister) walBarrier(w *WAL, detach bool) func(io.Writer) error {
 	w.lockWithDrain(g.mu.TryLock)
 	w.drainRing()
-	snap := g.snapshotLocked()
+	var chunks [][]byte
+	tail, _ := g.frameTablesLocked(make([]byte, 0, ckptChunk), func(b []byte) ([]byte, error) {
+		chunks = append(chunks, b)
+		return make([]byte, 0, ckptChunk), nil
+	})
+	chunks = append(chunks, tail)
 	if detach {
 		g.wal = nil
 	}
 	g.mu.Unlock()
-	return func(wr io.Writer) error { return encodeSnapshot(wr, snap) }
+	return func(wr io.Writer) error {
+		for _, c := range chunks {
+			if _, err := wr.Write(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// detachWAL stops journaling into w without building a checkpoint: the
+// path of a consumer that died on an I/O error, where framing the
+// tables would only stall every check. Once the exclusive lock is held
+// no producer is mid-append, and after it is released none will start.
+func (g *Greylister) detachWAL(w *WAL) {
+	w.lockWithDrain(g.mu.TryLock)
+	g.wal = nil
+	g.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -65,43 +66,28 @@ func walWorkload(e *Greylister, clock *simtime.Sim, start, end int) {
 	}
 }
 
-// dumpTables renders the engine's tables as sorted text with
-// nanosecond timestamps — a canonical form immune to gob's map-order
-// and time-zone encoding variance. Stats are deliberately excluded:
-// they are frozen at checkpoint time, not replayed (see DESIGN.md).
+// dumpTables renders the engine's four tables as sorted text with
+// nanosecond timestamps, a canonical form free of map order and time
+// zones. Stats are deliberately excluded: they are frozen at
+// checkpoint time, not replayed (see DESIGN.md).
 func dumpTables(g *Greylister) string {
 	g.mu.RLock()
-	snap := g.snapshotLocked()
-	g.mu.RUnlock()
-	var sb strings.Builder
-	keys := make([]string, 0, len(snap.Pending))
-	for k := range snap.Pending {
-		keys = append(keys, k)
+	defer g.mu.RUnlock()
+	var lines []string
+	for k, v := range g.pending {
+		lines = append(lines, fmt.Sprintf("P %q %d %d %d\n", k, v.firstSeen.UnixNano(), v.lastSeen.UnixNano(), v.attempts))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := snap.Pending[k]
-		fmt.Fprintf(&sb, "P %q %d %d %d\n", k, v.FirstSeen.UnixNano(), v.LastSeen.UnixNano(), v.Attempts)
+	for k, v := range g.passed {
+		lines = append(lines, fmt.Sprintf("W %q %d %d %d\n", k, v.passedAt.UnixNano(), v.lastUsed.Load(), v.deliveries.Load()))
 	}
-	keys = keys[:0]
-	for k := range snap.Passed {
-		keys = append(keys, k)
+	for k, v := range g.clients {
+		lines = append(lines, fmt.Sprintf("C %q %d %d\n", k, v.deliveries.Load(), v.lastUsed.Load()))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := snap.Passed[k]
-		fmt.Fprintf(&sb, "W %q %d %d %d\n", k, v.PassedAt.UnixNano(), v.LastUsed.UnixNano(), v.Deliveries)
+	for k, v := range g.earned {
+		lines = append(lines, fmt.Sprintf("E %q %d %d %d\n", k, v.grantedAt.UnixNano(), v.lastUsed.Load(), v.deliveries.Load()))
 	}
-	keys = keys[:0]
-	for k := range snap.Clients {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := snap.Clients[k]
-		fmt.Fprintf(&sb, "C %q %d %d\n", k, v.Deliveries, v.LastUsed.UnixNano())
-	}
-	return sb.String()
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 func copyFile(t *testing.T, src, dst string) {
@@ -348,18 +334,15 @@ func TestWALCheckpointWatermark(t *testing.T) {
 }
 
 // TestWALLegacySnapshot feeds OpenWAL the checkpoints older daemons
-// left behind: a raw pre-WAL Save file and a -shards 2 state file, each
-// of which must load whole (generation 0) and upgrade to an enveloped
-// checkpoint on the recovery compaction, and a -shards 2 stream inside a
-// checkpoint envelope.
+// left behind: a raw pre-WAL gob state file and a -shards 2 state file,
+// each of which must load whole (generation 0) and upgrade to an
+// enveloped checkpoint in the framed format on the recovery compaction,
+// and a -shards 2 stream inside a checkpoint envelope.
 func TestWALLegacySnapshot(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
 	g := New(walTestPolicy(), clock)
 	walWorkload(g, clock, 0, 120)
-	var saved bytes.Buffer
-	if err := g.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
+	saved := gobSnapshot(t, g)
 	clock2 := simtime.NewSim(simtime.Epoch)
 	h := New(walTestPolicy(), clock2)
 	walWorkload(h, clock2, 120, 200)
@@ -375,7 +358,7 @@ func TestWALLegacySnapshot(t *testing.T) {
 		envelope bool
 		want     *Greylister
 	}{
-		{"save", saved.Bytes(), false, g},
+		{"save", saved, false, g},
 		{"shards", sharded, false, merged},
 		{"shards-enveloped", sharded, true, merged},
 	} {
@@ -405,8 +388,13 @@ func TestWALLegacySnapshot(t *testing.T) {
 				t.Errorf("legacy snapshot load mismatch\ngot:\n%s\nwant:\n%s", got, want)
 			}
 
-			// The recovery compaction rewrote it enveloped: a second
-			// recovery must see a normal checkpoint.
+			// The recovery compaction rewrote it enveloped and framed: a
+			// second recovery must see a normal checkpoint.
+			if ckData, err := os.ReadFile(ck); err != nil {
+				t.Fatal(err)
+			} else if !bytes.HasPrefix(ckData[ckptEnvelopeSize:], []byte(stateMagic)) {
+				t.Fatalf("checkpoint body after recovery starts %q, want %q", ckData[ckptEnvelopeSize:][:8], stateMagic)
+			}
 			r2 := New(walTestPolicy(), simtime.NewSim(simtime.Epoch))
 			w2, info2 := openTestWAL(t, dir, r2, -1)
 			defer w2.Close()
@@ -569,31 +557,41 @@ func TestWALKnownPassedNoAllocs(t *testing.T) {
 	}
 }
 
-// TestWALConsumerFailureDegrades: when the consumer dies on an I/O
-// error (log file removed and the descriptor poisoned is hard to fake
-// portably, so the file is closed out from under it via the failed
-// flag), producers must drop records instead of wedging Check.
+// TestWALConsumerFailure: when the consumer dies on an I/O error (a
+// poisoned descriptor is hard to fake portably, so its log file is
+// closed out from under it), it detaches the engine without building a
+// checkpoint: over 50k passed triplets the death allocates under 1 MiB.
+// Producers then drop records instead of wedging Check.
 func TestWALConsumerFailure(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
 	g := New(walTestPolicy(), clock)
+	seedPassed(g, clock, 50000)
 	dir := t.TempDir()
 	w, _ := openTestWAL(t, dir, g, -1)
-
-	// Poison the consumer: close its file so the next write errors.
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Poison the consumer: close its file so the next write errors.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	w.f.Close()
-	walWorkload(g, clock, 0, 100) // must not wedge
-	deadline := time.Now().Add(5 * time.Second)
-	for !w.failed.Load() && time.Now().Before(deadline) {
-		g.Check(Triplet{ClientIP: "198.51.100.1", Sender: "x@y.example", Recipient: "u@y.example"})
-		time.Sleep(time.Millisecond)
+	g.Check(Triplet{ClientIP: "198.51.100.1", Sender: "x@y.example", Recipient: "u@y.example"})
+	select {
+	case <-w.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("consumer never exited after its file was closed")
 	}
+	runtime.ReadMemStats(&after)
 	if !w.failed.Load() {
-		t.Fatal("consumer never marked itself failed after its file was closed")
+		t.Fatal("consumer exited without marking itself failed")
 	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("consumer death allocated %d bytes, want < 1 MiB (no checkpoint is built)", alloc)
+	}
+
 	// Checks keep serving with journaling off.
+	walWorkload(g, clock, 0, 100)
 	g.Check(Triplet{ClientIP: "198.51.100.2", Sender: "x@y.example", Recipient: "u@y.example"})
 	if err := w.Close(); err == nil {
 		t.Fatal("Close after consumer death returned nil, want the parked error")
