@@ -6,8 +6,8 @@
 //
 // main hands the command line to internal/daemon, which parses it and
 // wires every layer (see DESIGN.md, "Daemon assembly"), then waits for
-// a signal and closes the daemon. mailflow's in-process soak runs the
-// same assembly.
+// a signal and closes the daemon. internal/daemon's tests run the same
+// assembly in-process.
 //
 // Usage:
 //

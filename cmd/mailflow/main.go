@@ -6,34 +6,19 @@
 // -exp queue — run a live MTA retry queue against a greylisted victim
 // domain in virtual time instead of evaluating the schedule analytically.
 //
-// -exp soak is the wire-level load harness: an open-loop TCP generator
-// (internal/loadgen) drives a real greylisting SMTP server — an external
-// greylistd via -addr, or greylistd itself started in this process
-// (internal/daemon, with greylistd's command line "-listen 127.0.0.1:0
-// -threshold T") on a real loopback socket — with mixed ham/spam
-// traffic, and reports sustained sessions/sec plus per-verb and
-// per-verdict latency percentiles. -smoke selects a short CI profile;
-// -heap-check fails the run if any phase's heap watermark exceeds the
-// given byte ceiling; -bench-out writes the machine-readable report.
-//
 // Usage:
 //
-//	mailflow -exp table3|table4|fig5|sweep|queue|soak [-threshold 6h] [-seed 1]
+//	mailflow -exp table3|table4|fig5|sweep|queue [-threshold 6h] [-seed 1]
 //	         [-days 120] [-rate 200] [-log out.log]
 //	         [-mta sendmail] [-messages 5] [-trace out.jsonl]
 //	         [-admin-addr 127.0.0.1:9926]
-//	         [-addr host:25] [-soak-rate 20000] [-conns 32] [-ham 0.25]
-//	         [-rcpt-batch 16] [-warmup 2s] [-measure 10s] [-soak 30s]
-//	         [-slo 50ms] [-smoke] [-heap-check 268435456] [-bench-out BENCH_soak.json]
 //
 // With -admin-addr, an HTTP listener exposes process metrics on /metrics
 // and live profiling on /debug/pprof/ for the duration of the run —
 // useful for profiling long fig5 generations and threshold sweeps. For
 // -exp queue it also serves the finished message traces on
-// /debug/traces. The in-process soak passes -admin-addr, -obs-window
-// and -obs-windows on to greylistd instead, so the daemon's own admin
-// listener serves the run: its metrics, sampled session traces and
-// observatory, with the load generator's series and sketches added.
+// /debug/traces, and the observatory on /observatory (windows set by
+// -obs-window and -obs-windows) rolls up the queue's retry delays.
 //
 // -trace (queue experiment only) records every queued message as an
 // end-to-end trace — enqueue, MX walk, dials, server verbs, greylist
@@ -44,19 +29,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/lab"
-	"repro/internal/loadgen"
 	"repro/internal/maillog"
 	"repro/internal/metrics"
 	"repro/internal/mta"
@@ -78,7 +57,7 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "table3", "experiment: table3, table4, fig5, sweep, queue, soak")
+		exp       = flag.String("exp", "table3", "experiment: table3, table4, fig5, sweep, queue")
 		threshold = flag.Duration("threshold", 6*time.Hour, "greylisting threshold for table3 and queue")
 		seed      = flag.Int64("seed", 1, "random seed")
 		days      = flag.Int("days", 120, "fig5 deployment length")
@@ -88,20 +67,6 @@ func run() error {
 		messages  = flag.Int("messages", 5, "queue: benign messages to submit")
 		traceOut  = flag.String("trace", "", "queue: write every message's end-to-end trace as JSONL to this file ('-' = stdout)")
 		adminAddr = flag.String("admin-addr", "", "serve /metrics and /debug/pprof on this address for the duration of the run")
-
-		soakAddr  = flag.String("addr", "", "soak: target server host:port (empty = in-process greylisting server on a loopback socket)")
-		soakRate  = flag.Float64("soak-rate", 20000, "soak: offered sessions per second (open-loop)")
-		conns     = flag.Int("conns", 32, "soak: connection pool size (one pipelined worker per connection)")
-		hamFrac   = flag.Float64("ham", 0.25, "soak: ham fraction of offered sessions; the rest are spam campaign bursts")
-		rcptBatch = flag.Int("rcpt-batch", 16, "soak: max pipelined RCPTs per volley (keep <= the server's -rcpt-batch)")
-		warmup    = flag.Duration("warmup", 2*time.Second, "soak: warmup phase (discarded from the report)")
-		measure   = flag.Duration("measure", 10*time.Second, "soak: measurement phase")
-		soakLen   = flag.Duration("soak", 30*time.Second, "soak: extended phase watching for memory growth")
-		slo       = flag.Duration("slo", 50*time.Millisecond, "soak: intended-to-complete session latency objective")
-		smoke     = flag.Bool("smoke", false, "soak: short single-core CI profile (overrides rate, conns and phase lengths)")
-		probe     = flag.Bool("probe", false, "soak: engine-stress profile — pure pipelined RCPT probe volleys over kept connections (no DATA/QUIT churn)")
-		heapCheck = flag.Int64("heap-check", 0, "soak: fail if any phase's heap watermark exceeds this many bytes (0 = off)")
-		benchOut  = flag.String("bench-out", "", "soak: write the machine-readable report JSON to this file")
 
 		obsWindow  = flag.Duration("obs-window", time.Second, "observatory rollup window duration; needs -admin-addr")
 		obsWindows = flag.Int("obs-windows", 60, "observatory ring length (closed windows kept for /observatory)")
@@ -119,23 +84,17 @@ func run() error {
 		tracer = trace.New(n)
 	}
 
-	// The in-process soak serves -admin-addr from greylistd's own admin
-	// listener (see runSoak).
-	inProcessSoak := *exp == "soak" && *soakAddr == ""
-	var adminReg *metrics.Registry
 	var obsv *obs.Observatory
-	if *adminAddr != "" && !inProcessSoak {
+	if *adminAddr != "" {
 		reg := metrics.NewRegistry()
-		adminReg = reg
 		metrics.RegisterProcess(reg)
 		var extra []metrics.Endpoint
 		if tracer != nil {
 			extra = append(extra, metrics.Endpoint{Path: "/debug/traces", Handler: tracer.Handler()})
 		}
-		// The live observatory rides the admin listener: the soak's
-		// load generator (or the queue experiment's retry scheduler)
-		// feeds it, /observatory serves the rollups greyctl renders.
-		// One-second windows by default — soak runs are short and
+		// The live observatory rides the admin listener: the queue
+		// experiment's retry scheduler feeds it, /observatory serves
+		// the rollups greyctl renders. One-second windows by default —
 		// greyctl watch wants fine grain.
 		obsv = obs.New(obs.Config{Window: *obsWindow, Windows: *obsWindows})
 		obsv.Register(reg)
@@ -289,39 +248,6 @@ func run() error {
 		}
 		fmt.Print(tbl.String())
 
-	case "soak":
-		// -threshold's 6h default suits the analytic experiments; a live
-		// soak wants the paper's "very short threshold" so retried
-		// triplets actually pass and the DATA path sees traffic. Keep an
-		// explicit -threshold if the user set one.
-		thr := time.Second
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threshold" {
-				thr = *threshold
-			}
-		})
-		_, err := runSoak(soakOptions{
-			addr:       *soakAddr,
-			threshold:  thr,
-			rate:       *soakRate,
-			ham:        *hamFrac,
-			conns:      *conns,
-			rcptBatch:  *rcptBatch,
-			warmup:     *warmup,
-			measure:    *measure,
-			soak:       *soakLen,
-			slo:        *slo,
-			seed:       *seed,
-			smoke:      *smoke,
-			probe:      *probe,
-			heapCheck:  *heapCheck,
-			benchOut:   *benchOut,
-			adminAddr:  *adminAddr,
-			obsWindow:  *obsWindow,
-			obsWindows: *obsWindows,
-		}, adminReg, obsv)
-		return err
-
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
@@ -345,123 +271,4 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "wrote trace snapshot to %s\n", *traceOut)
 	}
 	return nil
-}
-
-type soakOptions struct {
-	addr      string
-	threshold time.Duration
-	rate      float64
-	ham       float64
-	conns     int
-	rcptBatch int
-	warmup    time.Duration
-	measure   time.Duration
-	soak      time.Duration
-	slo       time.Duration
-	seed      int64
-	smoke     bool
-	probe     bool
-	heapCheck int64
-	benchOut  string
-	// adminAddr, obsWindow and obsWindows are passed on to the
-	// in-process greylistd.
-	adminAddr  string
-	obsWindow  time.Duration
-	obsWindows int
-}
-
-// runSoak drives internal/loadgen against a real SMTP server over real
-// TCP and returns the load generator's report. With no -addr it starts
-// greylistd itself inside this process (internal/daemon, on a loopback
-// socket, so the measured path still crosses the kernel TCP stack); the
-// load generator then registers in the daemon's registry and feeds its
-// observatory, and reg and obsv are ignored. Otherwise reg and obsv,
-// when non-nil, are mailflow's own.
-func runSoak(opt soakOptions, reg *metrics.Registry, obsv *obs.Observatory) (_ *loadgen.Report, err error) {
-	if opt.smoke {
-		// CI profile: small enough for a shared single-core runner,
-		// long enough that a leaky session path shows in the soak
-		// phase's heap watermark.
-		opt.rate, opt.conns = 2000, 4
-		opt.warmup, opt.measure, opt.soak = time.Second, 2*time.Second, 3*time.Second
-	}
-
-	addr := opt.addr
-	if addr == "" {
-		// greylistd's own command line; its per-message "accepted:"
-		// lines are not the soak's output.
-		argv := []string{"greylistd", "-listen", "127.0.0.1:0", "-threshold", opt.threshold.String()}
-		if opt.adminAddr != "" {
-			argv = append(argv, "-admin-addr", opt.adminAddr,
-				"-obs-window", opt.obsWindow.String(), "-obs-windows", strconv.Itoa(opt.obsWindows))
-		}
-		d, serr := daemon.Start(argv, io.Discard)
-		if serr != nil {
-			return nil, serr
-		}
-		defer func() {
-			if cerr := d.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		addr = d.SMTPAddr().String()
-		reg, obsv = d.Registry(), d.Observatory()
-		fmt.Fprintf(os.Stderr, "in-process greylistd on %s (threshold %v)\n", addr, opt.threshold)
-		if a := d.AdminAddr(); a != nil {
-			fmt.Fprintf(os.Stderr, "admin endpoint on http://%s/metrics (pprof at /debug/pprof/, sampled session traces at /debug/traces, observatory at /observatory)\n", a)
-		}
-	}
-
-	gen := loadgen.New(loadgen.Config{
-		Addr:         addr,
-		Conns:        opt.conns,
-		Rate:         opt.rate,
-		HamFraction:  opt.ham,
-		MaxRcptBatch: opt.rcptBatch,
-		Warmup:       opt.warmup,
-		Measure:      opt.measure,
-		Soak:         opt.soak,
-		SLO:          opt.slo,
-		Seed:         opt.seed,
-		Probe:        opt.probe,
-		Obs:          obsv,
-	})
-	if reg != nil {
-		gen.Register(reg)
-	}
-	rep, err := gen.Run()
-	if err != nil {
-		return nil, err
-	}
-	rep.WriteSummary(os.Stdout)
-
-	if opt.benchOut != "" {
-		out := struct {
-			Experiment string          `json:"experiment"`
-			Go         string          `json:"go"`
-			Machine    string          `json:"machine"`
-			Smoke      bool            `json:"smoke"`
-			Report     *loadgen.Report `json:"report"`
-		}{"soak", runtime.Version(), runtime.GOOS + "/" + runtime.GOARCH, opt.smoke, rep}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(opt.benchOut, buf, 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "wrote soak report to %s\n", opt.benchOut)
-	}
-
-	if opt.heapCheck > 0 {
-		for _, p := range rep.Phases {
-			if p.HeapMaxBytes > uint64(opt.heapCheck) {
-				return rep, fmt.Errorf("heap check failed: phase %s watermark %d bytes exceeds ceiling %d",
-					p.Name, p.HeapMaxBytes, opt.heapCheck)
-			}
-		}
-		fmt.Printf("heap check ok: every phase watermark under %d bytes\n", opt.heapCheck)
-	}
-	return rep, nil
 }

@@ -6,8 +6,8 @@
 //
 // Start takes greylistd's command line, so each setting and its
 // default is declared once, in its flag definition. cmd/greylistd runs
-// it as the daemon; mailflow's in-process soak runs it on a loopback
-// port. See DESIGN.md, "Daemon assembly".
+// it as the daemon; the package's tests run it in-process on loopback
+// ports. See DESIGN.md, "Daemon assembly".
 package daemon
 
 import (
@@ -576,14 +576,6 @@ func (d *Daemon) AdminAddr() net.Addr {
 	}
 	return d.admin.Addr()
 }
-
-// Registry is the registry /metrics serves, or nil without -admin-addr.
-// A caller in the same process may register its own series in it.
-func (d *Daemon) Registry() *metrics.Registry { return d.reg }
-
-// Observatory is the observatory /observatory serves, or nil without
-// -admin-addr. A caller in the same process may feed its own sketches.
-func (d *Daemon) Observatory() *obs.Observatory { return d.obsv }
 
 // Stats returns the greylisting engine's cumulative counters.
 func (d *Daemon) Stats() greylist.Stats { return d.g.Stats() }

@@ -358,6 +358,11 @@ func TestAssembly(t *testing.T) {
 			t.Errorf("%s answered %d", path, code)
 		}
 	}
+	// The WAL counts a record when its consumer frames it; a flush
+	// drains the ring first, so the count below is exact.
+	if err := d.wal.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	m := scrape(t, admin)
 	for series, want := range map[string]float64{
 		`greylist_verdicts_total{reason="first-seen"}`:              3,
@@ -369,14 +374,12 @@ func TestAssembly(t *testing.T) {
 		`greylist_pending_triplets`:                                 0,
 		`greylist_passed_triplets`:                                  3,
 		`greylist_bypass_stage_total{stage="rdns",action="bypass"}`: 1,
+		`wal_records_total`:                                         6, // 3 first-seen inserts, 3 promotions
 		`wal_replayed_records_total`:                                0,
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
 		}
-	}
-	if m["wal_records_total"] < 6 { // 3 first-seen inserts, 3 promotions
-		t.Errorf("wal_records_total = %v, want >= 6", m["wal_records_total"])
 	}
 
 	pc, err := net.Dial("tcp", policyAddr)

@@ -1,24 +1,23 @@
-// Package hdr implements the log-linear HDR-style histogram shared by
-// the load generator's latency reports and the observatory's streaming
-// sketches: 32 linear sub-buckets per power of two, covering values
-// from 1 up to 2^(5+32) ≈ 1.37e11 with a worst-case quantization error
-// of 1/32 (~3%) — the same layout family as HdrHistogram, which is
-// what makes high percentiles (p99.9) trustworthy without storing raw
-// samples. Values above the range are clamped into the top bucket and
-// tracked exactly via the max.
+// Package hdr implements the log-linear HDR-style histogram behind the
+// observatory's streaming sketches: 32 linear sub-buckets per power of
+// two, covering values from 1 up to 2^(5+32) ≈ 1.37e11 with a
+// worst-case quantization error of 1/32 (~3%) — the same layout family
+// as HdrHistogram, which is what makes high percentiles (p99.9)
+// trustworthy without storing raw samples. Values above the range are
+// clamped into the top bucket and tracked exactly via the max.
 //
-// The histogram carries no unit of its own: loadgen records
-// nanoseconds, the observatory's retry-delay sketches record
+// The histogram carries no unit of its own: the observatory's latency
+// sketches record nanoseconds, its retry-delay sketches record
 // milliseconds (greylist thresholds run minutes to days, far past the
 // nanosecond range). Callers pick the unit; Index/Lower/Upper and the
 // quantile math are unit-agnostic.
 //
 // Hist is deliberately NOT thread-safe: each writer owns a private
-// instance (a loadgen worker, an observatory snapshot) and readers
-// merge them, so the recording path is a couple of integer operations
-// with no atomics. Concurrent writers keep per-bucket atomics of their
-// own (see internal/obs) and fold into a Hist at read time with
-// AddBucket/AddSum/ObserveMax.
+// instance (an observatory snapshot, one of perfbench's timers) and
+// readers merge them, so the recording path is a couple of integer
+// operations with no atomics. Concurrent writers keep per-bucket
+// atomics of their own (see internal/obs) and fold into a Hist at read
+// time with AddBucket/AddSum/ObserveMax.
 package hdr
 
 import "math/bits"

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Reference copies of the bucket formulas as they shipped inside
-// internal/loadgen before the extraction — the equivalence pin: if the
-// shared package ever drifts from these, every historical BENCH_soak
-// percentile stops being comparable.
+// Reference copies of the bucket formulas as the load generator shipped
+// them before this package was extracted — the equivalence pin: if the
+// package ever drifts from these, the soak percentiles EXPERIMENTS.md
+// keeps stop being comparable.
 func refIndex(ns int64) int {
 	if ns < 0 {
 		ns = 0
@@ -100,6 +100,13 @@ func TestQuantileBounds(t *testing.T) {
 	}
 	if h.Quantile(1.0) != h.Max() {
 		t.Fatalf("Quantile(1.0) = %d, want exact max %d", h.Quantile(1.0), h.Max())
+	}
+	// A value past the range clamps into the top bucket; quantiles that
+	// land there report the exact max, not the bucket's nominal edge.
+	var clamped Hist
+	clamped.Record(1 << 50)
+	if clamped.Max() != 1<<50 || clamped.Quantile(0.99) != 1<<50 {
+		t.Fatalf("clamped value lost exactness: max %d, q99 %d", clamped.Max(), clamped.Quantile(0.99))
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Sketch is a streaming quantile sketch: one atomic HDR bucket array
 // per ring window. Record is lock-free and allocation-free — an atomic
 // add into the value's bucket plus count/sum updates and a CAS max —
-// so hot paths (greylist verdicts, loadgen samples) can feed it
+// so hot paths (greylist verdicts and their latencies) can feed it
 // inline. Readers fold a window's buckets into an hdr.Hist at snapshot
 // time; quantiles inherit hdr's ~3% worst-case quantization error with
 // the exact max as a cap.

@@ -50,12 +50,35 @@ func (r Request) Recipient() string { return r["recipient"] }
 // ProtocolState returns the SMTP state (RCPT, DATA, ...).
 func (r Request) ProtocolState() string { return strings.ToUpper(r["protocol_state"]) }
 
+// Bounds on one request. The idle deadline is armed once per request,
+// so without them a peer that keeps sending could grow the server's
+// heap without limit; a request past either bound is refused, and the
+// server drops its connection as it does for garbage.
+const (
+	// maxRequestLine bounds one attribute line, newline included.
+	// Postfix's own values (addresses, host names, certificate names)
+	// sit well under it.
+	maxRequestLine = 4096
+	// maxRequestAttrs bounds the attribute lines in one request.
+	// Postfix's SMTPD_POLICY_README lists a few dozen attributes.
+	maxRequestAttrs = 128
+)
+
+// Refusals of a request past a bound.
+var (
+	errLineTooLong  = errors.New("policyd: attribute line too long")
+	errTooManyAttrs = errors.New("policyd: too many attributes")
+)
+
 // ParseRequest reads one request (up to the blank line). io.EOF on a
-// clean end-of-stream before any attribute.
+// clean end-of-stream before any attribute. Attribute names are
+// trimmed and ASCII-lower-cased, values trimmed. A line longer than
+// maxRequestLine, or a request with more than maxRequestAttrs
+// attribute lines, is refused without reading the rest of it.
 func ParseRequest(br *bufio.Reader) (Request, error) {
 	req := make(Request)
-	for {
-		line, err := br.ReadString('\n')
+	for attrs := 0; ; {
+		line, err := readAttrLine(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) && len(req) == 0 && line == "" {
 				return nil, io.EOF
@@ -69,12 +92,53 @@ func ParseRequest(br *bufio.Reader) (Request, error) {
 			}
 			return req, nil
 		}
+		if attrs++; attrs > maxRequestAttrs {
+			return nil, errTooManyAttrs
+		}
 		name, value, ok := strings.Cut(line, "=")
 		if !ok {
 			return nil, fmt.Errorf("policyd: malformed attribute line %q", line)
 		}
-		req[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
+		req[asciiLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
 	}
+}
+
+// readAttrLine is br.ReadString('\n') refusing a line longer than
+// maxRequestLine.
+func readAttrLine(br *bufio.Reader) (string, error) {
+	var long []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(long)+len(frag) > maxRequestLine {
+			return "", errLineTooLong
+		}
+		if err == bufio.ErrBufferFull {
+			long = append(long, frag...)
+			continue
+		}
+		if long == nil {
+			return string(frag), err
+		}
+		return string(append(long, frag...)), err
+	}
+}
+
+// asciiLower lower-cases ASCII letters only. Postfix's attribute names
+// are ASCII; a Unicode case mapping can lengthen a name past the line
+// bound it was read under.
+func asciiLower(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 'A' && c <= 'Z' {
+			b := []byte(s)
+			for j := i; j < len(b); j++ {
+				if c := b[j]; c >= 'A' && c <= 'Z' {
+					b[j] = c + 'a' - 'A'
+				}
+			}
+			return string(b)
+		}
+	}
+	return s
 }
 
 // Response is the action the policy server returns.

@@ -112,57 +112,33 @@ func (e *Error) Error() string {
 // temporary Error with code 451.
 func (e *Error) Temporary() bool { return e.Reply.Transient() }
 
-// Client is a connected SMTP client session. A Client outlives any one
-// connection: Rebind attaches it to a fresh conn while reusing the
-// buffered reader/writer and the reply-line scratch, so a load
-// generator's conn pool does not pay two 4 KiB bufio allocations per
-// redial.
+// Client is a connected SMTP client session.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	// lineBuf is the reusable reply-line scratch for ParseReplyBuf; it
-	// survives across commands and rebinds.
+	// survives across commands.
 	lineBuf []byte
 	// Extensions holds the EHLO keywords announced by the server
 	// (upper-cased keyword -> parameter string).
 	Extensions map[string]string
 }
 
-// NewClient wraps an established connection and consumes the 220 banner.
+// NewClient wraps an established connection and consumes the 220
+// banner. On a banner error the connection is closed.
 func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{}
-	if err := c.Rebind(conn); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Rebind attaches the client to a freshly dialed connection and
-// consumes its 220 banner, reusing the client's buffers. The previous
-// connection, if any, must already be closed (Quit or Close). On a
-// banner error the new connection is closed and the client may be
-// rebound again.
-func (c *Client) Rebind(conn net.Conn) error {
-	c.conn = conn
-	if c.br == nil {
-		c.br = bufio.NewReader(conn)
-		c.bw = bufio.NewWriter(conn)
-	} else {
-		c.br.Reset(conn)
-		c.bw.Reset(conn)
-	}
-	c.Extensions = nil
+	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	banner, err := c.readReply()
 	if err != nil {
 		conn.Close()
-		return fmt.Errorf("smtpclient: reading banner: %w", err)
+		return nil, fmt.Errorf("smtpclient: reading banner: %w", err)
 	}
 	if !banner.Positive() {
 		conn.Close()
-		return &Error{Cmd: "connect", Reply: banner}
+		return nil, &Error{Cmd: "connect", Reply: banner}
 	}
-	return nil
+	return c, nil
 }
 
 // readReply parses one server reply through the client's reusable
@@ -273,25 +249,13 @@ func (c *Client) Rcpt(to string) error {
 	return err
 }
 
-// Data sends the DATA command and the dot-stuffed payload.
+// Data sends the DATA command, waits for the 354 go-ahead, then
+// streams the dot-stuffed payload, terminates it and reads the server's
+// verdict.
 func (c *Client) Data(payload []byte) error {
-	if err := c.DataStart(); err != nil {
+	if _, err := c.expect(smtpproto.VerbDATA, "DATA", 3); err != nil {
 		return err
 	}
-	return c.DataEnd(payload)
-}
-
-// DataStart sends DATA and waits for the 354 go-ahead. Callers that
-// time SMTP verbs individually (the soak harness) use the
-// DataStart/DataEnd pair; everyone else uses Data.
-func (c *Client) DataStart() error {
-	_, err := c.expect(smtpproto.VerbDATA, "DATA", 3)
-	return err
-}
-
-// DataEnd streams the dot-stuffed payload, terminates it and reads the
-// server's verdict.
-func (c *Client) DataEnd(payload []byte) error {
 	if err := smtpproto.WriteDotStuffed(c.bw, payload); err != nil {
 		return fmt.Errorf("smtpclient: sending payload: %w", err)
 	}
@@ -306,110 +270,6 @@ func (c *Client) DataEnd(payload []byte) error {
 		return &Error{Cmd: "DATA-END", Reply: reply}
 	}
 	return nil
-}
-
-// readCode reads one reply but surfaces only its code, through the
-// reusable line scratch — the allocation-free twin of readReply.
-func (c *Client) readCode() (int, error) {
-	code, buf, err := smtpproto.ReadReplyCode(c.br, c.lineBuf)
-	c.lineBuf = buf
-	return code, err
-}
-
-// MailRcptPipelined issues one envelope as a single pipelined write
-// (RFC 2920): an optional leading RSET (clearing whatever the previous
-// transaction on this connection left behind), MAIL FROM, and the whole
-// RCPT volley, then reads every reply. Only reply codes are surfaced —
-// rcptCodes[i] answers rcpts[i], appended into codes[:0] so a steady
-// caller allocates nothing. An error means the session is broken
-// mid-dialog and the connection must be abandoned; SMTP-level refusals
-// are expressed through the codes, not the error.
-func (c *Client) MailRcptPipelined(from string, rcpts []string, codes []int, rset bool) (mailCode int, rcptCodes []int, err error) {
-	if rset {
-		if _, err := c.bw.WriteString("RSET\r\n"); err != nil {
-			return 0, nil, fmt.Errorf("smtpclient: send RSET: %w", err)
-		}
-	}
-	if _, err := c.bw.WriteString("MAIL FROM:<"); err != nil {
-		return 0, nil, fmt.Errorf("smtpclient: send MAIL: %w", err)
-	}
-	c.bw.WriteString(from)
-	c.bw.WriteString(">\r\n")
-	for _, to := range rcpts {
-		c.bw.WriteString("RCPT TO:<")
-		c.bw.WriteString(to)
-		if _, err := c.bw.WriteString(">\r\n"); err != nil {
-			return 0, nil, fmt.Errorf("smtpclient: send RCPT: %w", err)
-		}
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, nil, fmt.Errorf("smtpclient: flush pipeline: %w", err)
-	}
-	if rset {
-		if _, err := c.readCode(); err != nil {
-			return 0, nil, fmt.Errorf("smtpclient: reply to RSET: %w", err)
-		}
-	}
-	mailCode, err = c.readCode()
-	if err != nil {
-		return 0, nil, fmt.Errorf("smtpclient: reply to MAIL: %w", err)
-	}
-	rcptCodes = codes[:0]
-	for range rcpts {
-		code, err := c.readCode()
-		if err != nil {
-			return mailCode, rcptCodes, fmt.Errorf("smtpclient: reply to RCPT: %w", err)
-		}
-		rcptCodes = append(rcptCodes, code)
-	}
-	return mailCode, rcptCodes, nil
-}
-
-// QueueMailRcpts writes an optional RSET plus one MAIL FROM/RCPT TO
-// envelope into the output buffer WITHOUT flushing, so several
-// RSET-separated envelopes can ride one TCP segment — RFC 2920
-// pipelining applied across transaction boundaries, the way a
-// high-rate client drains a backlog through a pooled connection. It
-// returns the number of reply codes the queued volley will produce
-// (RSET + MAIL + one per recipient). Finish the burst with FlushCodes.
-func (c *Client) QueueMailRcpts(from string, rcpts []string, rset bool) (int, error) {
-	n := 1 + len(rcpts)
-	if rset {
-		n++
-		if _, err := c.bw.WriteString("RSET\r\n"); err != nil {
-			return 0, fmt.Errorf("smtpclient: queue RSET: %w", err)
-		}
-	}
-	if _, err := c.bw.WriteString("MAIL FROM:<"); err != nil {
-		return 0, fmt.Errorf("smtpclient: queue MAIL: %w", err)
-	}
-	c.bw.WriteString(from)
-	c.bw.WriteString(">\r\n")
-	for _, to := range rcpts {
-		c.bw.WriteString("RCPT TO:<")
-		c.bw.WriteString(to)
-		if _, err := c.bw.WriteString(">\r\n"); err != nil {
-			return 0, fmt.Errorf("smtpclient: queue RCPT: %w", err)
-		}
-	}
-	return n, nil
-}
-
-// FlushCodes flushes every queued volley in one write and reads back n
-// reply codes, appended into codes[:0] in command order.
-func (c *Client) FlushCodes(n int, codes []int) ([]int, error) {
-	if err := c.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("smtpclient: flush burst: %w", err)
-	}
-	codes = codes[:0]
-	for i := 0; i < n; i++ {
-		code, err := c.readCode()
-		if err != nil {
-			return codes, fmt.Errorf("smtpclient: burst reply %d/%d: %w", i+1, n, err)
-		}
-		codes = append(codes, code)
-	}
-	return codes, nil
 }
 
 // StartTLS upgrades the connection to TLS (RFC 3207). On success the

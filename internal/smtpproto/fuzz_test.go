@@ -2,6 +2,7 @@ package smtpproto
 
 import (
 	"bufio"
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -54,4 +55,69 @@ func FuzzParseMailArg(f *testing.F) {
 			t.Fatalf("mailbox unstable: %q vs %q", mailbox, again)
 		}
 	})
+}
+
+// FuzzParseCommandBytes: the server's byte parser returns the same
+// Command and the same error text as ParseCommand on every line.
+func FuzzParseCommandBytes(f *testing.F) {
+	f.Add([]byte("MAIL FROM:<a@b.example> SIZE=100"))
+	f.Add([]byte("rcpt to:<u@foo.net>   "))
+	f.Add([]byte("StartTLS"))
+	f.Add([]byte("XCLIENT  name=x\t"))
+	f.Add([]byte(" lead"))
+	f.Add([]byte("M@IL x"))
+	f.Add([]byte("\xc3\x84HLO x"))
+	f.Add([]byte("EHLO\tx"))
+	f.Add([]byte("   "))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, gerr := ParseCommandBytes(line)
+		want, werr := ParseCommand(string(line))
+		if got != want || errText(gerr) != errText(werr) {
+			t.Fatalf("%q: ParseCommandBytes = %+v, %v; ParseCommand = %+v, %v", line, got, gerr, want, werr)
+		}
+	})
+}
+
+// FuzzReadCommandLineAppend: on any byte stream, the server's
+// buffer-reusing line reader returns the same lines and errors, in the
+// same order, as ReadCommandLine. The 16-byte reader buffer makes short
+// lines take the buffer-full path; the 4096-byte one is bufio's default.
+func FuzzReadCommandLineAppend(f *testing.F) {
+	long := strings.Repeat("x", MaxCommandLine)
+	f.Add([]byte("EHLO a\r\nMAIL FROM:<a@b.example>\r\nRCPT TO:<u@foo.net>\r\nQUIT\r\n"))
+	f.Add([]byte("EHLO bare-lf\nNOOP\r\n\r\n\n"))
+	f.Add([]byte("MAIL FROM:<a@b.example>\r"))
+	f.Add([]byte(long + "\nNOOP\r\n"))
+	f.Add([]byte(long + "\r\nNOOP\r\n"))
+	f.Add([]byte(long + "y"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		for _, size := range []int{16, 4096} {
+			ref := bufio.NewReaderSize(bytes.NewReader(stream), size)
+			br := bufio.NewReaderSize(bytes.NewReader(stream), size)
+			var buf []byte
+			for n := 1; ; n++ {
+				want, werr := ReadCommandLine(ref)
+				got, gerr := ReadCommandLineAppend(br, buf)
+				buf = got[:0]
+				if string(got) != want || gerr != werr {
+					t.Fatalf("buffer %d, line %d: ReadCommandLineAppend = %q, %v; ReadCommandLine = %q, %v",
+						size, n, got, gerr, want, werr)
+				}
+				if werr != nil && werr != ErrLineTooLong {
+					break
+				}
+			}
+		}
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -1,10 +1,10 @@
 package smtpproto
 
 // Zero-allocation wire helpers. The server's verb loop and the client's
-// command loop are the two hottest paths in a wire-level soak: every
-// reply used to be rendered through Reply.String (a strings.Builder and
-// several fmt calls per reply) and every command line read through a
-// per-line strings.Builder. The helpers here append into caller-owned
+// command loop run once per SMTP command: every reply used to be
+// rendered through Reply.String (a strings.Builder and several fmt
+// calls per reply) and every command line read through a per-line
+// strings.Builder. The helpers here append into caller-owned
 // buffers instead, so a pooled session can serve an entire SMTP
 // conversation without per-verb garbage. Byte-identity with the
 // string-based paths is pinned by TestAppendToMatchesString and
@@ -13,7 +13,6 @@ package smtpproto
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"strings"
 )
 
@@ -94,6 +93,11 @@ func readLineAppend(br *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 				return buf[:0], ErrLineTooLong
 			}
 			continue
+		}
+		if len(buf) > limit {
+			// readLine has already refused the line by the time the
+			// stream ends or fails.
+			return buf[:0], ErrLineTooLong
 		}
 		return buf[:0], err
 	}
@@ -176,40 +180,6 @@ var errEmptyCommand = func() error {
 	_, err := ParseCommand("")
 	return err
 }()
-
-// ReadReplyCode reads one complete (possibly multi-line) reply but
-// surfaces only its code, skipping the per-line string allocations of
-// ParseReply — a load generator classifying 100k+ verdicts/sec needs
-// nothing but the code. buf carries the line scratch across calls
-// (pass the returned slice back in).
-func ReadReplyCode(br *bufio.Reader, buf []byte) (int, []byte, error) {
-	code := 0
-	for {
-		line, err := readLineAppend(br, buf, MaxTextLine)
-		if err != nil {
-			return 0, line[:0], err
-		}
-		buf = line[:cap(line)]
-		if len(line) < 3 {
-			return 0, buf, fmt.Errorf("smtpproto: short reply line %q", line)
-		}
-		c := 0
-		for _, b := range line[:3] {
-			if b < '0' || b > '9' {
-				return 0, buf, fmt.Errorf("smtpproto: bad reply code in %q", line)
-			}
-			c = c*10 + int(b-'0')
-		}
-		if code == 0 {
-			code = c
-		} else if c != code {
-			return 0, buf, fmt.Errorf("smtpproto: inconsistent codes %d and %d in multiline reply", code, c)
-		}
-		if len(line) == 3 || line[3] != '-' {
-			return code, buf, nil
-		}
-	}
-}
 
 // ParseReplyBuf is ParseReply reading its lines through a reusable
 // buffer: buf carries the line scratch across calls (pass the previous

@@ -105,7 +105,7 @@ type SessionTrace struct {
 	// Verbs is the sequence of command verbs received (upper-cased;
 	// unparsable lines recorded as "?"). Only recorded when an
 	// OnSessionEnd hook is configured, and capped at maxTraceVerbs so a
-	// connection that pipelines millions of commands (a soak run, a
+	// connection that pipelines millions of commands (a busy relay, a
 	// hostile client) cannot grow an unbounded verb log; the opening
 	// dialog is what sender fingerprinting reads anyway.
 	Verbs []string

@@ -39,26 +39,30 @@ var greylisted = smtpproto.NewReply(451, "4.7.1", "Greylisted, please retry")
 
 // TestSessionTraceBound: a client that keeps one traced connection busy
 // with 100k MAIL/RCPT/RSET commands cannot grow its session trace past
-// trace.MaxSessionEvents. The events past the cap are counted as
-// dropped, and the outcome is still the last event.
+// trace.MaxSessionEvents, nor the verb log OnSessionEnd receives past
+// maxTraceVerbs. The events past the cap are counted as dropped, and
+// the outcome is still the last event.
 func TestSessionTraceBound(t *testing.T) {
 	const txns = 33334 // 100002 MAIL/RCPT/RSET commands
 	var live *trace.Trace
-	calls, maxLive := 0, 0
+	calls, maxLive, verbs := 0, 0, -1
 	srv := New(Config{
 		Hostname: "bound.example",
 		Tracer:   trace.New(4),
-		Hooks: Hooks{OnRcptTraced: func(tr *trace.Trace, _, _, _ string) *smtpproto.Reply {
-			live = tr
-			calls++
-			if calls%1000 == 0 {
-				maxLive = max(maxLive, len(tr.Events()))
-			}
-			if calls == 1 {
-				return &greylisted // a 4xx reply: the sampler keeps this trace
-			}
-			return nil
-		}},
+		Hooks: Hooks{
+			OnRcptTraced: func(tr *trace.Trace, _, _, _ string) *smtpproto.Reply {
+				live = tr
+				calls++
+				if calls%1000 == 0 {
+					maxLive = max(maxLive, len(tr.Events()))
+				}
+				if calls == 1 {
+					return &greylisted // a 4xx reply: the sampler keeps this trace
+				}
+				return nil
+			},
+			OnSessionEnd: func(st *SessionTrace) { verbs = len(st.Verbs) },
+		},
 	})
 	lines := []string{"EHLO client.example"}
 	for i := 0; i < txns; i++ {
@@ -69,6 +73,9 @@ func TestSessionTraceBound(t *testing.T) {
 
 	if live == nil || calls != txns {
 		t.Fatalf("hook calls = %d, want %d", calls, txns)
+	}
+	if verbs != maxTraceVerbs {
+		t.Fatalf("OnSessionEnd saw %d verbs, want the cap %d", verbs, maxTraceVerbs)
 	}
 	if maxLive > trace.MaxSessionEvents {
 		t.Fatalf("live trace held %d events, cap %d", maxLive, trace.MaxSessionEvents)

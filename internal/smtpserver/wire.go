@@ -4,12 +4,12 @@ package smtpserver
 // fixed text is rendered to wire bytes exactly once, at package (or
 // server) init; the session writes those bytes straight into its
 // buffered writer instead of re-rendering "250 2.0.0 OK" through
-// Reply.String on every RSET of a 100k-session/sec soak. Dynamic
-// replies (HELO greetings, hook verdicts) append into a per-session
-// scratch buffer via Reply.AppendTo. Sessions themselves — struct,
-// bufio.Reader/Writer, line scratch, reply scratch, DotReader — are
-// pooled in a sync.Pool, so a million-connection soak recycles a few
-// dozen sessions instead of allocating 8 KiB of buffers per dial.
+// Reply.String on every RSET. Dynamic replies (HELO greetings, hook
+// verdicts) append into a per-session scratch buffer via
+// Reply.AppendTo. Sessions themselves — struct, bufio.Reader/Writer,
+// line scratch, reply scratch, DotReader — are pooled in a sync.Pool,
+// so a server that accepts a million connections recycles a few dozen
+// sessions instead of allocating 8 KiB of buffers per dial.
 
 import (
 	"bufio"

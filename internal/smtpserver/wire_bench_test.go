@@ -86,8 +86,8 @@ func BenchmarkServeConnSession(b *testing.B) {
 // BenchmarkServeConnReused measures the steady-state transaction cost on
 // a long-lived connection: one connect + EHLO, then 64 MAIL/RCPT/RSET
 // transactions (the greylistd hot shape — most spam sessions never reach
-// DATA). allocs/op is per *transaction*, the unit the soak harness
-// calls a session when connections are pooled.
+// DATA). allocs/op is per *transaction*, the unit a client that pools
+// its connections counts as a session.
 func BenchmarkServeConnReused(b *testing.B) {
 	srv := New(Config{Hostname: "bench.example"})
 	const txns = 64
