@@ -1,6 +1,7 @@
 package greylist
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -130,4 +131,58 @@ func BenchmarkCompactBarrier(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// BenchmarkGCRecoveredTables forces collections over the state a
+// restart recovers: 300k passed triplets, three for each of 100k
+// auto-whitelist clients, loaded from a checkpoint. It reports the wall
+// time of one forced runtime.GC (ms/gc) and the heap the loaded tables
+// retain per passed or client entry (B/entry).
+func BenchmarkGCRecoveredTables(b *testing.B) {
+	const clients, perClient = 100000, 3
+	clock := simtime.NewSim(simtime.Epoch)
+	src := New(walTestPolicy(), clock)
+	ts := make([]Triplet, 0, clients*perClient)
+	for i := 0; i < clients*perClient; i++ {
+		c := i % clients
+		ts = append(ts, Triplet{
+			ClientIP:  fmt.Sprintf("10.%d.%d.%d", c>>16&255, c>>8&255, c&255),
+			Sender:    fmt.Sprintf("s%d@corp%d.example", c, c%2000),
+			Recipient: fmt.Sprintf("u%d@dest.example", i/clients),
+		})
+	}
+	out := src.CheckBatch(ts, nil)
+	clock.Advance(src.Policy().Threshold + time.Second)
+	src.CheckBatch(ts, out)
+	var ckpt bytes.Buffer
+	if err := src.Save(&ckpt); err != nil {
+		b.Fatal(err)
+	}
+	src, ts, out = nil, nil, nil
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	g := New(walTestPolicy(), clock)
+	if err := g.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(&ckpt)
+	entries := g.PassedCount() + g.ClientCount()
+	if g.PassedCount() != clients*perClient || g.ClientCount() != clients {
+		b.Fatalf("loaded %d passed, %d clients; want %d, %d", g.PassedCount(), g.ClientCount(), clients*perClient, clients)
+	}
+	ckpt = bytes.Buffer{}
+	runtime.GC()
+
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3/float64(b.N), "ms/gc")
+	b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc)/float64(entries), "B/entry")
+	runtime.KeepAlive(g)
 }

@@ -63,8 +63,10 @@ func FuzzCheckpointLoad(f *testing.F) {
 	if err := New(DefaultPolicy(), nil).Save(&empty); err != nil {
 		f.Fatal(err)
 	}
+	dup, _ := stateWithDuplicate(f)
 	f.Add(tiny.Bytes())
 	f.Add(empty.Bytes())
+	f.Add(dup)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data)
 		if bytes.HasPrefix(data, []byte(stateMagic)) {

@@ -32,6 +32,7 @@ package greylist
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,19 +295,23 @@ func (c *counters) restore(s Stats) {
 	c.gcDropped.Store(s.GCDropped)
 }
 
+// The table records (see table.go). Every time is Unix nanoseconds.
+
 // pendingRecord tracks a deferred triplet. Only touched under the write
 // lock (deferrals always mutate state).
 type pendingRecord struct {
-	firstSeen time.Time
-	lastSeen  time.Time
+	slot
+	firstSeen int64
+	lastSeen  int64
 	attempts  int
 }
 
 // passedRecord tracks a whitelisted triplet. passedAt is immutable after
-// creation; lastUsed/deliveries are atomics (unix nanoseconds / count)
-// so read-locked hits can refresh them concurrently.
+// creation; lastUsed/deliveries are atomics so read-locked hits can
+// refresh them concurrently.
 type passedRecord struct {
-	passedAt   time.Time
+	slot
+	passedAt   int64
 	lastUsed   atomic.Int64
 	deliveries atomic.Int64
 }
@@ -314,6 +319,7 @@ type passedRecord struct {
 // clientRecord tracks a client's auto-whitelist credit; fields are
 // atomics for the same reason as passedRecord.
 type clientRecord struct {
+	slot
 	deliveries atomic.Int64
 	lastUsed   atomic.Int64
 }
@@ -324,9 +330,19 @@ type clientRecord struct {
 // creation; lastUsed/deliveries are atomics so read-locked hits renew
 // the expiry timer concurrently.
 type earnedRecord struct {
-	grantedAt  time.Time
+	slot
+	grantedAt  int64
 	lastUsed   atomic.Int64
 	deliveries atomic.Int64
+}
+
+// tables is the engine's dynamic state: pending triplets, passed
+// triplets, auto-whitelist clients and earned-whitelist grants.
+type tables struct {
+	pending table[pendingRecord, *pendingRecord]
+	passed  table[passedRecord, *passedRecord]
+	clients table[clientRecord, *clientRecord]
+	earned  table[earnedRecord, *earnedRecord]
 }
 
 // Greylister is the policy engine. It is safe for concurrent use.
@@ -350,11 +366,13 @@ type Greylister struct {
 	// as inst: unobserved engines pay one atomic load per check.
 	obsv atomic.Pointer[Observer]
 
-	mu      sync.RWMutex
-	pending map[string]*pendingRecord
-	passed  map[string]*passedRecord
-	clients map[string]*clientRecord
-	earned  map[string]*earnedRecord
+	mu sync.RWMutex
+	tables
+	// seed and hashMask key the tables' indexes (see table). The seed
+	// is drawn per engine, so no two engines chain the same keys
+	// together.
+	seed     maphash.Seed
+	hashMask uint64
 
 	// wal, when non-nil, journals every table mutation (see wal.go).
 	// Read under either lock mode; attached and detached only under the
@@ -366,6 +384,12 @@ type Greylister struct {
 // New returns a Greylister with the given policy. A nil clock means the
 // real clock.
 func New(policy Policy, clock simtime.Clock) *Greylister {
+	return newGreylister(policy, clock, ^uint64(0))
+}
+
+// newGreylister is New with the mask its tables apply to every index
+// hash; a mask of 0 chains every key of a table together.
+func newGreylister(policy Policy, clock simtime.Clock, hashMask uint64) *Greylister {
 	if clock == nil {
 		clock = simtime.Real{}
 	}
@@ -373,11 +397,10 @@ func New(policy Policy, clock simtime.Clock) *Greylister {
 		policy:    policy,
 		clock:     clock,
 		whitelist: NewWhitelist(),
-		pending:   make(map[string]*pendingRecord),
-		passed:    make(map[string]*passedRecord),
-		clients:   make(map[string]*clientRecord),
-		earned:    make(map[string]*earnedRecord),
+		seed:      maphash.MakeSeed(),
+		hashMask:  hashMask,
 	}
+	g.tables = g.newTables()
 	// The default chain is the classic behaviour: static whitelist,
 	// then the triplet check.
 	g.chain.Store(NewChain(WhitelistStage(g.whitelist)))
@@ -494,6 +517,16 @@ func (g *Greylister) decide(t Triplet, out StageOutcome, now time.Time) Verdict 
 	return v
 }
 
+// newTables returns empty tables indexed under g's seed and mask.
+func (g *Greylister) newTables() tables {
+	return tables{
+		pending: newTable[pendingRecord](g.seed, g.hashMask),
+		passed:  newTable[passedRecord](g.seed, g.hashMask),
+		clients: newTable[clientRecord](g.seed, g.hashMask),
+		earned:  newTable[earnedRecord](g.seed, g.hashMask),
+	}
+}
+
 // countBypass attributes a chain bypass verdict to its Stats counter.
 func (g *Greylister) countBypass(r Reason) {
 	switch r {
@@ -516,7 +549,7 @@ func (g *Greylister) countBypass(r Reason) {
 func (g *Greylister) fastPath(clientKey, key []byte, now time.Time) (Verdict, bool) {
 	nowNs := now.UnixNano()
 	if g.policy.EarnedLifetime > 0 {
-		if e, ok := g.earned[string(clientKey)]; ok {
+		if e := g.earned.get(clientKey); e != nil {
 			if nowNs-e.lastUsed.Load() > int64(g.policy.EarnedLifetime) {
 				return Verdict{}, false // expired: slow path deletes it
 			}
@@ -526,11 +559,12 @@ func (g *Greylister) fastPath(clientKey, key []byte, now time.Time) (Verdict, bo
 				w.append(walOpEarnTouch, key, nowNs, 0, 0)
 			}
 			g.stats.passedEarned.Add(1)
-			return Verdict{Decision: Pass, Reason: ReasonEarnedWhitelist, FirstSeen: e.grantedAt}, true
+			return Verdict{Decision: Pass, Reason: ReasonEarnedWhitelist, FirstSeen: time.Unix(0, e.grantedAt)}, true
 		}
 	}
+	var c *clientRecord
 	if g.policy.AutoWhitelistAfter > 0 {
-		if c, ok := g.clients[string(clientKey)]; ok {
+		if c = g.clients.get(clientKey); c != nil {
 			if g.policy.AutoWhitelistLifetime > 0 && nowNs-c.lastUsed.Load() > int64(g.policy.AutoWhitelistLifetime) {
 				return Verdict{}, false // stale: slow path deletes it
 			}
@@ -545,20 +579,17 @@ func (g *Greylister) fastPath(clientKey, key []byte, now time.Time) (Verdict, bo
 		}
 	}
 
-	p, ok := g.passed[string(key)]
-	if !ok {
+	p := g.passed.get(key)
+	if p == nil {
 		return Verdict{}, false
 	}
 	if g.policy.PassLifetime > 0 && nowNs-p.lastUsed.Load() > int64(g.policy.PassLifetime) {
 		return Verdict{}, false // expired: slow path deletes it
 	}
-	var c *clientRecord
-	if g.policy.AutoWhitelistAfter > 0 {
-		if c, ok = g.clients[string(clientKey)]; !ok {
-			// First credit for this client allocates its record:
-			// that's the slow path's job.
-			return Verdict{}, false
-		}
+	if g.policy.AutoWhitelistAfter > 0 && c == nil {
+		// First credit for this client inserts its record: that's
+		// the slow path's job.
+		return Verdict{}, false
 	}
 	p.lastUsed.Store(nowNs)
 	n := p.deliveries.Add(1)
@@ -570,7 +601,7 @@ func (g *Greylister) fastPath(clientKey, key []byte, now time.Time) (Verdict, bo
 		w.append(walOpTouch, key, nowNs, 0, 0)
 	}
 	g.stats.passedKnown.Add(1)
-	return Verdict{Decision: Pass, Reason: ReasonKnownTriplet, FirstSeen: p.passedAt, Attempts: int(n)}, true
+	return Verdict{Decision: Pass, Reason: ReasonKnownTriplet, FirstSeen: time.Unix(0, p.passedAt), Attempts: int(n)}, true
 }
 
 // checkSlow is the write-locked decision procedure. Callers hold g.mu
@@ -581,9 +612,9 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 	nowNs := now.UnixNano()
 
 	if g.policy.EarnedLifetime > 0 {
-		if e, ok := g.earned[string(clientKey)]; ok {
+		if e := g.earned.get(clientKey); e != nil {
 			if nowNs-e.lastUsed.Load() > int64(g.policy.EarnedLifetime) {
-				delete(g.earned, string(clientKey))
+				g.earned.del(clientKey)
 				if w := g.wal; w != nil {
 					w.append(walOpDelEarned, key, 0, 0, 0)
 				}
@@ -594,15 +625,15 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 					w.append(walOpEarnTouch, key, nowNs, 0, 0)
 				}
 				g.stats.passedEarned.Add(1)
-				return Verdict{Decision: Pass, Reason: ReasonEarnedWhitelist, FirstSeen: e.grantedAt}
+				return Verdict{Decision: Pass, Reason: ReasonEarnedWhitelist, FirstSeen: time.Unix(0, e.grantedAt)}
 			}
 		}
 	}
 
 	if g.policy.AutoWhitelistAfter > 0 {
-		if c, ok := g.clients[string(clientKey)]; ok {
+		if c := g.clients.get(clientKey); c != nil {
 			if g.policy.AutoWhitelistLifetime > 0 && nowNs-c.lastUsed.Load() > int64(g.policy.AutoWhitelistLifetime) {
-				delete(g.clients, string(clientKey))
+				g.clients.del(clientKey)
 				if w := g.wal; w != nil {
 					w.append(walOpDelClient, key, 0, 0, 0)
 				}
@@ -617,9 +648,9 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 		}
 	}
 
-	if p, ok := g.passed[string(key)]; ok {
+	if p := g.passed.get(key); p != nil {
 		if g.policy.PassLifetime > 0 && nowNs-p.lastUsed.Load() > int64(g.policy.PassLifetime) {
-			delete(g.passed, string(key))
+			g.passed.del(key)
 			if w := g.wal; w != nil {
 				w.append(walOpDelPassed, key, 0, 0, 0)
 			}
@@ -631,16 +662,16 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 				w.append(walOpTouch, key, nowNs, 0, 0)
 			}
 			g.stats.passedKnown.Add(1)
-			return Verdict{Decision: Pass, Reason: ReasonKnownTriplet, FirstSeen: p.passedAt, Attempts: int(n)}
+			return Verdict{Decision: Pass, Reason: ReasonKnownTriplet, FirstSeen: time.Unix(0, p.passedAt), Attempts: int(n)}
 		}
 	}
 
-	rec, known := g.pending[string(key)]
-	if known && g.policy.RetryWindow > 0 && now.Sub(rec.firstSeen) > g.policy.RetryWindow {
+	rec := g.pending.get(key)
+	if rec != nil && g.policy.RetryWindow > 0 && nowNs-rec.firstSeen > int64(g.policy.RetryWindow) {
 		// The retry came too late: start over.
 		g.stats.deferredExpired.Add(1)
-		rec.firstSeen = now
-		rec.lastSeen = now
+		rec.firstSeen = nowNs
+		rec.lastSeen = nowNs
 		rec.attempts = 1
 		if w := g.wal; w != nil {
 			w.append(walOpPendingUpsert, key, nowNs, nowNs, 1)
@@ -654,8 +685,9 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 		}
 	}
 
-	if !known {
-		g.pending[string(key)] = &pendingRecord{firstSeen: now, lastSeen: now, attempts: 1}
+	if rec == nil {
+		rec, _ = g.pending.put(key)
+		rec.firstSeen, rec.lastSeen, rec.attempts = nowNs, nowNs, 1
 		if w := g.wal; w != nil {
 			w.append(walOpPendingUpsert, key, nowNs, nowNs, 1)
 		}
@@ -671,30 +703,32 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 	}
 
 	rec.attempts++
-	rec.lastSeen = now
-	elapsed := now.Sub(rec.firstSeen)
+	rec.lastSeen = nowNs
+	elapsed := time.Duration(nowNs - rec.firstSeen)
 	if elapsed < g.policy.Threshold {
 		if w := g.wal; w != nil {
-			w.append(walOpPendingUpsert, key, rec.firstSeen.UnixNano(), nowNs, uint32(rec.attempts))
+			w.append(walOpPendingUpsert, key, rec.firstSeen, nowNs, uint32(rec.attempts))
 		}
 		g.stats.deferredEarly.Add(1)
 		return Verdict{
 			Decision:      Defer,
 			Reason:        ReasonTooSoon,
 			WaitRemaining: g.policy.Threshold - elapsed,
-			FirstSeen:     rec.firstSeen,
+			FirstSeen:     time.Unix(0, rec.firstSeen),
 			Attempts:      rec.attempts,
 		}
 	}
 
-	// Retry accepted: promote to passed.
-	delete(g.pending, string(key))
-	p := &passedRecord{passedAt: now}
+	// Retry accepted: promote to passed. The passed lookup above missed
+	// or deleted, so put inserts.
+	firstSeen, attempts := rec.firstSeen, rec.attempts
+	g.pending.del(key)
+	p, _ := g.passed.put(key)
+	p.passedAt = nowNs
 	p.lastUsed.Store(nowNs)
 	p.deliveries.Store(1)
-	g.passed[string(key)] = p
 	g.creditClient(clientKey, nowNs)
-	if g.grantEarned(clientKey, now) {
+	if g.grantEarned(clientKey, nowNs) {
 		g.stats.earnedGranted.Add(1)
 	}
 	if w := g.wal; w != nil {
@@ -708,8 +742,8 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 	return Verdict{
 		Decision:  Pass,
 		Reason:    ReasonRetryAccepted,
-		FirstSeen: rec.firstSeen,
-		Attempts:  rec.attempts,
+		FirstSeen: time.Unix(0, firstSeen),
+		Attempts:  attempts,
 		Waited:    elapsed,
 	}
 }
@@ -721,8 +755,12 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 //
 // The result slice is out when it has sufficient capacity (letting
 // callers reuse one slice across batches), a fresh allocation otherwise.
-// Verdicts are positionally matched to ts. Semantics are identical to
-// calling Check on each triplet in order at the same instant.
+// Verdicts are positionally matched to ts. They are those of calling
+// Check at the same instant on every fast-path attempt, in order, and
+// then on the misses, in order. That can differ from calling Check on
+// each attempt in turn: a known triplet's delivery credit can
+// auto-whitelist its client for a miss that came before it in the
+// batch (the reference model in model_test.go states it).
 func (g *Greylister) CheckBatch(ts []Triplet, out []Verdict) []Verdict {
 	return g.CheckBatchTraced(ts, out, nil)
 }
@@ -916,11 +954,7 @@ func (g *Greylister) creditClient(clientKey []byte, nowNs int64) {
 	if g.policy.AutoWhitelistAfter <= 0 {
 		return
 	}
-	c, ok := g.clients[string(clientKey)]
-	if !ok {
-		c = &clientRecord{}
-		g.clients[string(clientKey)] = c
-	}
+	c, _ := g.clients.put(clientKey)
 	c.deliveries.Add(1)
 	c.lastUsed.Store(nowNs)
 }
@@ -930,16 +964,15 @@ func (g *Greylister) creditClient(clientKey []byte, nowNs int64) {
 // (re-granting an existing one just renews it). Callers hold g.mu
 // exclusively. Stats are the caller's job: WAL replay shares this
 // mutation but must leave counters frozen.
-func (g *Greylister) grantEarned(clientKey []byte, now time.Time) bool {
+func (g *Greylister) grantEarned(clientKey []byte, nowNs int64) bool {
 	if g.policy.EarnedLifetime <= 0 {
 		return false
 	}
-	e, ok := g.earned[string(clientKey)]
+	e, ok := g.earned.put(clientKey)
 	if !ok {
-		e = &earnedRecord{grantedAt: now}
-		g.earned[string(clientKey)] = e
+		e.grantedAt = nowNs
 	}
-	e.lastUsed.Store(now.UnixNano())
+	e.lastUsed.Store(nowNs)
 	return !ok
 }
 
@@ -955,51 +988,35 @@ func (g *Greylister) GC() int {
 	if w := g.wal; w != nil {
 		w.append(walOpGC, nil, now.UnixNano(), 0, 0)
 	}
-	dropped := g.gcLocked(now)
+	dropped := g.gcLocked(now.UnixNano())
 	g.stats.gcSweeps.Add(1)
 	g.stats.gcDropped.Add(uint64(dropped))
 	return dropped
 }
 
-// gcLocked sweeps expired records at the given instant, returning how
-// many were dropped. Callers hold g.mu exclusively. Split from GC so
+// gcLocked sweeps expired records at nowNs, returning how many were
+// dropped, and rewrites each key arena that has come to hold more dead
+// bytes than live ones. Callers hold g.mu exclusively. Split from GC so
 // WAL replay can re-run a logged sweep without touching Stats or
 // re-journaling it.
-func (g *Greylister) gcLocked(now time.Time) int {
-	nowNs := now.UnixNano()
+func (g *Greylister) gcLocked(nowNs int64) int {
 	dropped := 0
-	if g.policy.RetryWindow > 0 {
-		for k, rec := range g.pending {
-			if now.Sub(rec.firstSeen) > g.policy.RetryWindow {
-				delete(g.pending, k)
-				dropped++
-			}
-		}
+	if w := int64(g.policy.RetryWindow); w > 0 {
+		dropped += g.pending.deleteFunc(func(r *pendingRecord) bool { return nowNs-r.firstSeen > w })
 	}
-	if g.policy.PassLifetime > 0 {
-		for k, rec := range g.passed {
-			if nowNs-rec.lastUsed.Load() > int64(g.policy.PassLifetime) {
-				delete(g.passed, k)
-				dropped++
-			}
-		}
+	if l := int64(g.policy.PassLifetime); l > 0 {
+		dropped += g.passed.deleteFunc(func(r *passedRecord) bool { return nowNs-r.lastUsed.Load() > l })
 	}
-	if g.policy.AutoWhitelistLifetime > 0 {
-		for k, rec := range g.clients {
-			if nowNs-rec.lastUsed.Load() > int64(g.policy.AutoWhitelistLifetime) {
-				delete(g.clients, k)
-				dropped++
-			}
-		}
+	if l := int64(g.policy.AutoWhitelistLifetime); l > 0 {
+		dropped += g.clients.deleteFunc(func(r *clientRecord) bool { return nowNs-r.lastUsed.Load() > l })
 	}
-	if g.policy.EarnedLifetime > 0 {
-		for k, rec := range g.earned {
-			if nowNs-rec.lastUsed.Load() > int64(g.policy.EarnedLifetime) {
-				delete(g.earned, k)
-				dropped++
-			}
-		}
+	if l := int64(g.policy.EarnedLifetime); l > 0 {
+		dropped += g.earned.deleteFunc(func(r *earnedRecord) bool { return nowNs-r.lastUsed.Load() > l })
 	}
+	g.pending.compactIfSparse()
+	g.passed.compactIfSparse()
+	g.clients.compactIfSparse()
+	g.earned.compactIfSparse()
 	return dropped
 }
 
@@ -1008,26 +1025,26 @@ func (g *Greylister) gcLocked(now time.Time) int {
 func (g *Greylister) PendingCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.pending)
+	return g.pending.len()
 }
 
 // PassedCount reports the number of whitelisted triplets.
 func (g *Greylister) PassedCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.passed)
+	return g.passed.len()
 }
 
 // ClientCount reports the number of auto-whitelist client records.
 func (g *Greylister) ClientCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.clients)
+	return g.clients.len()
 }
 
 // EarnedCount reports the number of earned-whitelist records.
 func (g *Greylister) EarnedCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.earned)
+	return g.earned.len()
 }

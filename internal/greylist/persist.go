@@ -105,7 +105,7 @@ type ckptEncoder struct {
 // record frames one record. An entry whose key is longer than the u16
 // length field can express is left out, as the log leaves out its
 // records.
-func (e *ckptEncoder) record(op byte, key string, payload []byte) {
+func (e *ckptEncoder) record(op byte, key, payload []byte) {
 	if e.err != nil || len(key) > walMaxKeyLen {
 		return
 	}
@@ -120,56 +120,57 @@ func (e *ckptEncoder) record(op byte, key string, payload []byte) {
 
 // frameTablesLocked frames the dynamic state as a checkpoint body into
 // buf, handing buf to flush whenever the next record would not fit, and
-// returns the unflushed rest. Callers hold g.mu in either mode: the
-// loops only read, and the mutable record fields are atomics. Save
-// streams through it under the read lock; the WAL's checkpoint barrier
-// frames into memory under the exclusive lock.
+// returns the unflushed rest. It walks each table's slab in slot order.
+// Callers hold g.mu in either mode: the loops only read, and the
+// mutable record fields are atomics. Save streams through it under the
+// read lock; the WAL's checkpoint barrier frames into memory under the
+// exclusive lock.
 func (g *Greylister) frameTablesLocked(buf []byte, flush func([]byte) ([]byte, error)) ([]byte, error) {
 	le := binary.LittleEndian
 	e := ckptEncoder{buf: buf, flush: flush}
 	e.buf = append(e.buf, stateMagic...)
 	e.buf = le.AppendUint32(e.buf, stateVersion)
 	var p [8 * statsFields]byte
-	for i, n := range [...]int{len(g.pending), len(g.passed), len(g.clients), len(g.earned)} {
+	for i, n := range [...]int{g.pending.len(), g.passed.len(), g.clients.len(), g.earned.len()} {
 		le.PutUint64(p[8*i:], uint64(n))
 	}
-	e.record(ckptOpCounts, "", p[:32])
+	e.record(ckptOpCounts, nil, p[:32])
 	stats := g.stats.snapshot()
 	for i, f := range stats.fields() {
 		le.PutUint64(p[8*i:], *f)
 	}
-	e.record(ckptOpStats, "", p[:])
-	for k, v := range g.pending {
-		le.PutUint64(p[0:], uint64(v.firstSeen.UnixNano()))
-		le.PutUint64(p[8:], uint64(v.lastSeen.UnixNano()))
+	e.record(ckptOpStats, nil, p[:])
+	g.pending.each(func(k []byte, v *pendingRecord) {
+		le.PutUint64(p[0:], uint64(v.firstSeen))
+		le.PutUint64(p[8:], uint64(v.lastSeen))
 		le.PutUint32(p[16:], uint32(v.attempts))
 		e.record(walOpPendingUpsert, k, p[:20])
-	}
-	for k, v := range g.passed {
-		le.PutUint64(p[0:], uint64(v.passedAt.UnixNano()))
+	})
+	g.passed.each(func(k []byte, v *passedRecord) {
+		le.PutUint64(p[0:], uint64(v.passedAt))
 		le.PutUint64(p[8:], uint64(v.lastUsed.Load()))
 		le.PutUint64(p[16:], uint64(v.deliveries.Load()))
 		e.record(ckptOpPassed, k, p[:24])
-	}
-	for k, v := range g.clients {
+	})
+	g.clients.each(func(k []byte, v *clientRecord) {
 		le.PutUint64(p[0:], uint64(v.lastUsed.Load()))
 		le.PutUint64(p[8:], uint64(v.deliveries.Load()))
 		e.record(ckptOpClient, k, p[:16])
-	}
-	for k, v := range g.earned {
-		le.PutUint64(p[0:], uint64(v.grantedAt.UnixNano()))
+	})
+	g.earned.each(func(k []byte, v *earnedRecord) {
+		le.PutUint64(p[0:], uint64(v.grantedAt))
 		le.PutUint64(p[8:], uint64(v.lastUsed.Load()))
 		le.PutUint64(p[16:], uint64(v.deliveries.Load()))
 		e.record(ckptOpEarned, k, p[:24])
-	}
+	})
 	le.PutUint64(p[0:], e.n)
-	e.record(ckptOpEnd, "", p[:8])
+	e.record(ckptOpEnd, nil, p[:8])
 	return e.buf, e.err
 }
 
 // ckptMinEntry is the smallest entry record a checkpoint can hold (a
 // client record with an empty key): the counts record pre-sizes the
-// maps for no more entries than the unread input could carry at this
+// tables for no more entries than the unread input could carry at this
 // size each.
 const ckptMinEntry = 3 + 16 + 4
 
@@ -180,6 +181,9 @@ const ckptMinEntry = 3 + 16 + 4
 // cut short or failing its checksum, an op a checkpoint does not carry,
 // a counts record out of place, an end record missing or miscounting,
 // or bytes after it. The engine's tables are untouched on error.
+//
+// The counts record sizes every table's index, so decoding an entry
+// inserts into storage that only ever grows a chunk at a time.
 func (g *Greylister) loadState(br *bufio.Reader, avail int64) error {
 	le := binary.LittleEndian
 	var hdr [stateHeaderSize]byte
@@ -190,11 +194,8 @@ func (g *Greylister) loadState(br *bufio.Reader, avail int64) error {
 		return fmt.Errorf("greylist: load: unsupported state version %d", v)
 	}
 	var (
-		pending map[string]*pendingRecord
-		passed  map[string]*passedRecord
-		clients map[string]*clientRecord
-		earned  map[string]*earnedRecord
-		stats   Stats
+		t     = g.newTables()
+		stats Stats
 	)
 	rr := recordReader{br: br, size: ckptPayloadSize}
 	for n := uint64(0); ; n++ {
@@ -216,35 +217,34 @@ func (g *Greylister) loadState(br *bufio.Reader, avail int64) error {
 				budget -= c
 				return int(c)
 			}
-			pending = make(map[string]*pendingRecord, hint(0))
-			passed = make(map[string]*passedRecord, hint(1))
-			clients = make(map[string]*clientRecord, hint(2))
-			earned = make(map[string]*earnedRecord, hint(3))
+			t.pending.reserve(hint(0))
+			t.passed.reserve(hint(1))
+			t.clients.reserve(hint(2))
+			t.earned.reserve(hint(3))
 		case ckptOpStats:
 			for i, f := range stats.fields() {
 				*f = le.Uint64(p[8*i:])
 			}
+		// A key the body holds twice keeps its last record's values.
 		case walOpPendingUpsert:
-			pending[string(key)] = &pendingRecord{
-				firstSeen: time.Unix(0, int64(le.Uint64(p[0:]))),
-				lastSeen:  time.Unix(0, int64(le.Uint64(p[8:]))),
-				attempts:  int(le.Uint32(p[16:])),
-			}
+			r, _ := t.pending.put(key)
+			r.firstSeen = int64(le.Uint64(p[0:]))
+			r.lastSeen = int64(le.Uint64(p[8:]))
+			r.attempts = int(le.Uint32(p[16:]))
 		case ckptOpPassed:
-			r := &passedRecord{passedAt: time.Unix(0, int64(le.Uint64(p[0:])))}
+			r, _ := t.passed.put(key)
+			r.passedAt = int64(le.Uint64(p[0:]))
 			r.lastUsed.Store(int64(le.Uint64(p[8:])))
 			r.deliveries.Store(int64(le.Uint64(p[16:])))
-			passed[string(key)] = r
 		case ckptOpClient:
-			r := &clientRecord{}
+			r, _ := t.clients.put(key)
 			r.lastUsed.Store(int64(le.Uint64(p[0:])))
 			r.deliveries.Store(int64(le.Uint64(p[8:])))
-			clients[string(key)] = r
 		case ckptOpEarned:
-			r := &earnedRecord{grantedAt: time.Unix(0, int64(le.Uint64(p[0:])))}
+			r, _ := t.earned.put(key)
+			r.grantedAt = int64(le.Uint64(p[0:]))
 			r.lastUsed.Store(int64(le.Uint64(p[8:])))
 			r.deliveries.Store(int64(le.Uint64(p[16:])))
-			earned[string(key)] = r
 		case ckptOpEnd:
 			if got := le.Uint64(p); got != n {
 				return fmt.Errorf("greylist: load: end record counts %d records, state holds %d", got, n)
@@ -254,7 +254,7 @@ func (g *Greylister) loadState(br *bufio.Reader, avail int64) error {
 			} else if err != io.EOF {
 				return fmt.Errorf("greylist: load: %w", err)
 			}
-			g.installTables(pending, passed, clients, earned, stats)
+			g.installTables(t, stats)
 			return nil
 		}
 	}
@@ -358,45 +358,41 @@ func decodeLegacyShards(br *bufio.Reader) (*snapshot, error) {
 // restoreSnapshot replaces the engine's dynamic state with the decoded
 // snapshot's.
 func (g *Greylister) restoreSnapshot(snap *snapshot) {
-	pending := make(map[string]*pendingRecord, len(snap.Pending))
+	t := g.newTables()
+	t.pending.reserve(len(snap.Pending))
 	for k, v := range snap.Pending {
-		pending[k] = &pendingRecord{firstSeen: v.FirstSeen, lastSeen: v.LastSeen, attempts: v.Attempts}
+		r, _ := t.pending.put([]byte(k))
+		r.firstSeen, r.lastSeen, r.attempts = v.FirstSeen.UnixNano(), v.LastSeen.UnixNano(), v.Attempts
 	}
-	passed := make(map[string]*passedRecord, len(snap.Passed))
+	t.passed.reserve(len(snap.Passed))
 	for k, v := range snap.Passed {
-		p := &passedRecord{passedAt: v.PassedAt}
-		p.lastUsed.Store(v.LastUsed.UnixNano())
-		p.deliveries.Store(int64(v.Deliveries))
-		passed[k] = p
+		r, _ := t.passed.put([]byte(k))
+		r.passedAt = v.PassedAt.UnixNano()
+		r.lastUsed.Store(v.LastUsed.UnixNano())
+		r.deliveries.Store(int64(v.Deliveries))
 	}
-	clients := make(map[string]*clientRecord, len(snap.Clients))
+	t.clients.reserve(len(snap.Clients))
 	for k, v := range snap.Clients {
-		c := &clientRecord{}
-		c.deliveries.Store(int64(v.Deliveries))
-		c.lastUsed.Store(v.LastUsed.UnixNano())
-		clients[k] = c
+		r, _ := t.clients.put([]byte(k))
+		r.deliveries.Store(int64(v.Deliveries))
+		r.lastUsed.Store(v.LastUsed.UnixNano())
 	}
-	earned := make(map[string]*earnedRecord, len(snap.Earned))
+	t.earned.reserve(len(snap.Earned))
 	for k, v := range snap.Earned {
-		e := &earnedRecord{grantedAt: v.GrantedAt}
-		e.lastUsed.Store(v.LastUsed.UnixNano())
-		e.deliveries.Store(int64(v.Deliveries))
-		earned[k] = e
+		r, _ := t.earned.put([]byte(k))
+		r.grantedAt = v.GrantedAt.UnixNano()
+		r.lastUsed.Store(v.LastUsed.UnixNano())
+		r.deliveries.Store(int64(v.Deliveries))
 	}
-
-	g.installTables(pending, passed, clients, earned, snap.Stats)
+	g.installTables(t, snap.Stats)
 }
 
 // installTables swaps freshly decoded tables and counters in under the
 // exclusive lock.
-func (g *Greylister) installTables(pending map[string]*pendingRecord, passed map[string]*passedRecord,
-	clients map[string]*clientRecord, earned map[string]*earnedRecord, stats Stats) {
+func (g *Greylister) installTables(t tables, stats Stats) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.pending = pending
-	g.passed = passed
-	g.clients = clients
-	g.earned = earned
+	g.tables = t
 	g.stats.restore(stats)
 }
 

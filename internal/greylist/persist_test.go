@@ -158,13 +158,13 @@ func TestLoadLegacyShardedState(t *testing.T) {
 		t.Fatalf("tables: %d pending, %d passed; want 1, 2", g.PendingCount(), g.PassedCount())
 	}
 	g.mu.RLock()
-	c, e := g.clients["192.0.2.1"], g.earned["192.0.2.1"]
+	c, e := g.clients.get([]byte("192.0.2.1")), g.earned.get([]byte("192.0.2.1"))
 	g.mu.RUnlock()
 	if c.deliveries.Load() != 2 || c.lastUsed.Load() != useB.UnixNano() {
 		t.Errorf("merged client = %d deliveries last used %d, want 2 last used %v",
 			c.deliveries.Load(), c.lastUsed.Load(), useB)
 	}
-	if !e.grantedAt.Equal(grantA) || e.lastUsed.Load() != useB.UnixNano() || e.deliveries.Load() != 2 {
+	if e.grantedAt != grantA.UnixNano() || e.lastUsed.Load() != useB.UnixNano() || e.deliveries.Load() != 2 {
 		t.Errorf("merged earned = granted %v, last used %d, %d deliveries; want granted %v, last used %v, 2 deliveries",
 			e.grantedAt, e.lastUsed.Load(), e.deliveries.Load(), grantA, useB)
 	}

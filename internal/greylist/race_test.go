@@ -10,11 +10,22 @@ import (
 	"repro/internal/simtime"
 )
 
+// pendingShape reads the pending table's slab chunk count and arena
+// bytes under the read lock.
+func pendingShape(g *Greylister) (slabChunks, arenaLen int) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.pending.slab), arenaBytes(&g.pending)
+}
+
 // TestConcurrentMixedOps hammers the engine from many goroutines —
 // Check, CheckBatch, GC, Save, Stats, counts — while another advances the
 // sim clock, locking in the RWMutex fast path and the atomic record
 // fields under the race detector (go test -race ./internal/greylist/...
-// is part of the tier-1 recipe).
+// is part of the tier-1 recipe). Meanwhile a grower grows the pending
+// table's slab by several chunks and expires what it inserted, so that
+// its arena is rewritten, while the workers' and a reader's fast-path
+// hits run beside it.
 func TestConcurrentMixedOps(t *testing.T) {
 	clock := simtime.NewSim(simtime.Epoch)
 	p := DefaultPolicy()
@@ -28,6 +39,15 @@ func TestConcurrentMixedOps(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
+	// The reader's passed triplet, promoted before the clock starts
+	// racing ahead.
+	hot := Triplet{ClientIP: "192.0.2.77", Sender: "hot@x.example", Recipient: "u@foo.net"}
+	g.Check(hot)
+	clock.Advance(301 * time.Second)
+	if v := g.Check(hot); v.Reason != ReasonRetryAccepted {
+		t.Fatalf("setup: %+v", v)
+	}
+
 	// Clock advancer: pushes time forward so checks cross the threshold,
 	// promote to passed, and exercise the read-locked known-passed path.
 	stop := make(chan struct{})
@@ -40,6 +60,49 @@ func TestConcurrentMixedOps(t *testing.T) {
 				return
 			default:
 				clock.Advance(90 * time.Second)
+			}
+		}
+	}()
+
+	// Reader: the passed triplet, whose client is credited, checked
+	// over and over on the read-locked path (until it expires).
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4*iters; i++ {
+			if v := g.Check(hot); v.Decision != Defer && v.Decision != Pass {
+				t.Errorf("reader: zero verdict %+v", v)
+			}
+		}
+	}()
+
+	// Grower: 2048 fresh triplets a round, in one batch, then a jump
+	// past the retry window and a GC. The workers keep at most 129
+	// pending triplets, one slab chunk's worth, so the first round adds
+	// at least three chunks. Each batch leaves 2048 keys of at least
+	// minKey bytes in the arena, and once they have expired the arena
+	// is rewritten, by the GC of the grower or of a worker, so the
+	// grower's GC returns with the arena shorter.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		const n, minKey = 2048, len("198.51.100.9\x00g0@x.example\x00r0@foo.net")
+		batch := make([]Triplet, n)
+		var out []Verdict
+		for round := 0; round < 3; round++ {
+			for i := range batch {
+				batch[i] = Triplet{ClientIP: "198.51.100.9", Sender: fmt.Sprintf("g%d@x.example", round), Recipient: fmt.Sprintf("r%d@foo.net", i)}
+			}
+			before, _ := pendingShape(g)
+			out = g.CheckBatch(batch, out)
+			after, _ := pendingShape(g)
+			if round == 0 && (before > 1 || after < n/slabChunk) {
+				t.Errorf("pending slab %d chunks before %d inserts, %d after; want at most 1, at least %d", before, n, after, n/slabChunk)
+			}
+			clock.Advance(p.RetryWindow + time.Hour)
+			g.GC()
+			if _, arena := pendingShape(g); arena >= n*minKey {
+				t.Errorf("round %d: pending arena %d bytes after its %d keys expired; want it rewritten below %d", round, arena, n, n*minKey)
 			}
 		}
 	}()

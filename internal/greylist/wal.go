@@ -687,17 +687,24 @@ func (rr *recordReader) next() (op byte, key, payload []byte, err error) {
 	if psize < 0 {
 		return 0, nil, nil, fmt.Errorf("unknown op %#x", op)
 	}
-	var kl [2]byte
-	if _, err := io.ReadFull(rr.br, kl[:]); err != nil {
+	// The key length is read a byte at a time: reading it into a local
+	// array through io.ReadFull would move the array to the heap, one
+	// allocation per record.
+	lo, err := rr.br.ReadByte()
+	if err != nil {
 		return 0, nil, nil, errRecordCut
 	}
-	keyLen := int(binary.LittleEndian.Uint16(kl[:]))
+	hi, err := rr.br.ReadByte()
+	if err != nil {
+		return 0, nil, nil, errRecordCut
+	}
+	keyLen := int(lo) | int(hi)<<8
 	n := 3 + keyLen + psize + 4
 	if cap(rr.rec) < n {
 		rr.rec = make([]byte, n)
 	}
 	rec := rr.rec[:n]
-	rec[0], rec[1], rec[2] = op, kl[0], kl[1]
+	rec[0], rec[1], rec[2] = op, lo, hi
 	if _, err := io.ReadFull(rr.br, rec[3:]); err != nil {
 		return 0, nil, nil, errRecordCut
 	}

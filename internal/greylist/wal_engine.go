@@ -3,7 +3,6 @@ package greylist
 import (
 	"bytes"
 	"io"
-	"time"
 )
 
 // Engine side of the write-ahead log: how the Greylister journals
@@ -51,56 +50,48 @@ func (g *Greylister) applyWALBatch(ops []walOp) {
 func (g *Greylister) applyOpLocked(op walOp) {
 	switch op.op {
 	case walOpPendingUpsert:
-		rec, ok := g.pending[string(op.key)]
-		if !ok {
-			rec = &pendingRecord{}
-			g.pending[string(op.key)] = rec
-		}
-		rec.firstSeen = time.Unix(0, op.t1)
-		rec.lastSeen = time.Unix(0, op.t2)
-		rec.attempts = int(op.attempts)
+		rec, _ := g.pending.put(op.key)
+		rec.firstSeen, rec.lastSeen, rec.attempts = op.t1, op.t2, int(op.attempts)
 	case walOpPromote:
-		delete(g.pending, string(op.key))
-		p := &passedRecord{passedAt: time.Unix(0, op.t1)}
+		g.pending.del(op.key)
+		p, _ := g.passed.put(op.key)
+		p.passedAt = op.t1
 		p.lastUsed.Store(op.t1)
 		p.deliveries.Store(1)
-		g.passed[string(op.key)] = p
 		g.creditClient(clientPrefix(op.key), op.t1)
-		g.grantEarned(clientPrefix(op.key), time.Unix(0, op.t1))
+		g.grantEarned(clientPrefix(op.key), op.t1)
 	case walOpTouch:
-		p, ok := g.passed[string(op.key)]
+		p, ok := g.passed.put(op.key)
 		if !ok {
 			// A touch always follows the promote (or checkpoint) that
 			// created the record; tolerate a gap by recreating it so a
 			// damaged log still converges.
-			p = &passedRecord{passedAt: time.Unix(0, op.t1)}
-			g.passed[string(op.key)] = p
+			p.passedAt = op.t1
 		}
 		p.lastUsed.Store(op.t1)
 		p.deliveries.Add(1)
 		g.creditClient(clientPrefix(op.key), op.t1)
 	case walOpAutoPass:
-		if c, ok := g.clients[string(clientPrefix(op.key))]; ok {
+		if c := g.clients.get(clientPrefix(op.key)); c != nil {
 			c.lastUsed.Store(op.t1)
 		}
 	case walOpDelPassed:
-		delete(g.passed, string(op.key))
+		g.passed.del(op.key)
 	case walOpDelClient:
-		delete(g.clients, string(clientPrefix(op.key)))
+		g.clients.del(clientPrefix(op.key))
 	case walOpEarnTouch:
-		e, ok := g.earned[string(clientPrefix(op.key))]
+		e, ok := g.earned.put(clientPrefix(op.key))
 		if !ok {
 			// Tolerate a gap before the promote that granted the
 			// entry (damaged log) by recreating it, like walOpTouch.
-			e = &earnedRecord{grantedAt: time.Unix(0, op.t1)}
-			g.earned[string(clientPrefix(op.key))] = e
+			e.grantedAt = op.t1
 		}
 		e.lastUsed.Store(op.t1)
 		e.deliveries.Add(1)
 	case walOpDelEarned:
-		delete(g.earned, string(clientPrefix(op.key)))
+		g.earned.del(clientPrefix(op.key))
 	case walOpGC:
-		g.gcLocked(time.Unix(0, op.t1))
+		g.gcLocked(op.t1)
 	}
 }
 

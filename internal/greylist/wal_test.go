@@ -67,25 +67,25 @@ func walWorkload(e *Greylister, clock *simtime.Sim, start, end int) {
 }
 
 // dumpTables renders the engine's four tables as sorted text with
-// nanosecond timestamps, a canonical form free of map order and time
-// zones. Stats are deliberately excluded: they are frozen at
-// checkpoint time, not replayed (see DESIGN.md).
+// nanosecond timestamps, a canonical form free of slot order. Stats are
+// deliberately excluded: they are frozen at checkpoint time, not
+// replayed (see DESIGN.md).
 func dumpTables(g *Greylister) string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var lines []string
-	for k, v := range g.pending {
-		lines = append(lines, fmt.Sprintf("P %q %d %d %d\n", k, v.firstSeen.UnixNano(), v.lastSeen.UnixNano(), v.attempts))
-	}
-	for k, v := range g.passed {
-		lines = append(lines, fmt.Sprintf("W %q %d %d %d\n", k, v.passedAt.UnixNano(), v.lastUsed.Load(), v.deliveries.Load()))
-	}
-	for k, v := range g.clients {
+	g.pending.each(func(k []byte, v *pendingRecord) {
+		lines = append(lines, fmt.Sprintf("P %q %d %d %d\n", k, v.firstSeen, v.lastSeen, v.attempts))
+	})
+	g.passed.each(func(k []byte, v *passedRecord) {
+		lines = append(lines, fmt.Sprintf("W %q %d %d %d\n", k, v.passedAt, v.lastUsed.Load(), v.deliveries.Load()))
+	})
+	g.clients.each(func(k []byte, v *clientRecord) {
 		lines = append(lines, fmt.Sprintf("C %q %d %d\n", k, v.deliveries.Load(), v.lastUsed.Load()))
-	}
-	for k, v := range g.earned {
-		lines = append(lines, fmt.Sprintf("E %q %d %d %d\n", k, v.grantedAt.UnixNano(), v.lastUsed.Load(), v.deliveries.Load()))
-	}
+	})
+	g.earned.each(func(k []byte, v *earnedRecord) {
+		lines = append(lines, fmt.Sprintf("E %q %d %d %d\n", k, v.grantedAt, v.lastUsed.Load(), v.deliveries.Load()))
+	})
 	sort.Strings(lines)
 	return strings.Join(lines, "")
 }
