@@ -76,6 +76,10 @@ func (s *SPFStage) Eval(t greylist.Triplet) (greylist.StageOutcome, error) {
 	return greylist.StageOutcome{}, nil
 }
 
+// EnvelopeScoped implements greylist.EnvelopeScoped: the answer depends
+// on the client IP and the sender alone.
+func (*SPFStage) EnvelopeScoped() {}
+
 // Register exports the underlying checker's spf_* counters.
 func (s *SPFStage) Register(reg *metrics.Registry) { s.checker.Register(reg) }
 
@@ -188,6 +192,10 @@ func (s *DNSWLStage) Eval(t greylist.Triplet) (greylist.StageOutcome, error) {
 	return greylist.StageOutcome{}, nil
 }
 
+// EnvelopeScoped implements greylist.EnvelopeScoped: the answer depends
+// on the client IP alone.
+func (*DNSWLStage) EnvelopeScoped() {}
+
 // Register exports the stage's cache counters.
 func (s *DNSWLStage) Register(reg *metrics.Registry) {
 	registerCache(reg, "dnswl", s.cache)
@@ -255,6 +263,10 @@ func (s *RDNSStage) lookup(ip string) (bool, error) {
 	}
 	return false, nil
 }
+
+// EnvelopeScoped implements greylist.EnvelopeScoped: the answer depends
+// on the client IP alone.
+func (*RDNSStage) EnvelopeScoped() {}
 
 // Register exports the stage's cache counters.
 func (s *RDNSStage) Register(reg *metrics.Registry) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +28,8 @@ type testEnv struct {
 	clock *simtime.Sim
 	wl    *dnsbl.List
 	down  bool
+	// exchanges counts the DNS exchanges the stages attempted.
+	exchanges atomic.Int64
 }
 
 func newEnv(t testing.TB) *testEnv {
@@ -52,6 +55,7 @@ func newEnv(t testing.TB) *testEnv {
 
 	direct := dnsresolver.Direct(e.dns)
 	flaky := dnsresolver.TransportFunc(func(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+		e.exchanges.Add(1)
 		if e.down {
 			return nil, errors.New("dns unreachable")
 		}
@@ -111,6 +115,39 @@ func TestSPFStageTempErrorFailsOpen(t *testing.T) {
 	}
 	if st := g.Chain().StageStats(); st[0].Errors != 1 {
 		t.Fatalf("stage errors = %+v", st)
+	}
+}
+
+// TestBatchOutageOncePerEnvelope: with the resolver down, a pipelined
+// 16-RCPT burst costs each erroring stage one failed lookup, not one per
+// recipient, and every recipient still counts the stage's error and is
+// greylisted as usual. (The DNSWL stage is left out: dnsbl.Lookup reads
+// a failed lookup as "not listed", so that stage never errors.)
+func TestBatchOutageOncePerEnvelope(t *testing.T) {
+	e := newEnv(t)
+	g := greylist.New(greylist.DefaultPolicy(), e.clock)
+	g.SetChain(greylist.NewChain(
+		greylist.WhitelistStage(g.Whitelist()),
+		e.spfStage(),
+		RDNS(e.res, CacheConfig{Clock: e.clock}),
+	))
+	e.down = true
+	ts := make([]greylist.Triplet, 16)
+	for i := range ts {
+		ts[i] = greylist.Triplet{ClientIP: "192.0.2.10", Sender: "news@bulk.example", Recipient: fmt.Sprintf("u%d@victim.example", i)}
+	}
+	for i, v := range g.CheckBatch(ts, nil) {
+		if v.Decision != greylist.Defer || v.Reason != greylist.ReasonFirstSeen {
+			t.Fatalf("verdict %d with DNS down = %+v, want defer/first-seen", i, v)
+		}
+	}
+	if n := e.exchanges.Load(); n != 2 {
+		t.Errorf("%d DNS exchanges for one envelope, want 2 (one per DNS-backed stage)", n)
+	}
+	for _, st := range g.Chain().StageStats()[1:] {
+		if st.Errors != uint64(len(ts)) {
+			t.Errorf("stage %s: %d errors, want %d (one per recipient)", st.Name, st.Errors, len(ts))
+		}
 	}
 }
 

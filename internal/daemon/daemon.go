@@ -108,7 +108,7 @@ func Start(argv []string, log io.Writer) (_ *Daemon, err error) {
 		walCompact  = fs.Int64("wal-compact-every", 16<<20, "bytes of wal growth before checkpoint compaction (<0 disables)")
 		gcEvery     = fs.Duration("gc", 10*time.Minute, "state garbage-collection interval")
 		fingerprint = fs.Bool("fingerprint", false, "log an SMTP-dialect fingerprint for every session")
-		rcptBatch   = fs.Int("rcpt-batch", 64, "max pipelined RCPT commands decided per engine batch (RFC 2920 clients); replies are per-RCPT identical to serial handling")
+		rcptBatch   = fs.Int("rcpt-batch", 64, "max pipelined RCPT commands decided per engine batch (RFC 2920 clients): the SPF, DNSWL and rDNS stages run once per run of RCPTs sharing client and sender, then fast-path hits are decided before misses, all at one clock read")
 		policyAddr  = fs.String("policy-listen", "", "also serve the Postfix policy-delegation protocol on this address (for check_policy_service)")
 		tlsCert     = fs.String("tls-cert", "", "TLS certificate file for STARTTLS (with -tls-key)")
 		tlsKey      = fs.String("tls-key", "", "TLS key file for STARTTLS")
@@ -355,12 +355,21 @@ func deferReply(v greylist.Verdict) *smtpproto.Reply {
 	return &r
 }
 
+// burst is one pipelined RCPT burst's engine input and output.
+type burst struct {
+	ts []greylist.Triplet
+	vs []greylist.Verdict
+}
+
 // sessionHooks puts g behind the SMTP verbs: RCPTs, lone or pipelined,
 // get g's verdicts, and each accepted message is logged. With
 // fingerprint, each session's SMTP-dialect fingerprint is logged too.
 // OnSessionEnd is installed only then, because a non-nil hook makes
 // the server keep a verb log for every connection.
 func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtpserver.Hooks {
+	// bursts recycles the triplet and verdict slices of finished bursts,
+	// so a burst of accepted recipients allocates nothing.
+	bursts := sync.Pool{New: func() any { return new(burst) }}
 	h := smtpserver.Hooks{
 		OnRcptTraced: func(tr *trace.Trace, clientIP, sender, rcpt string) *smtpproto.Reply {
 			return deferReply(g.CheckTraced(greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}, tr))
@@ -370,12 +379,13 @@ func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtps
 		// records one verdict per recipient. Replies are allocated
 		// only when some recipient is deferred (nil accepts all).
 		OnRcptBatchTraced: func(tr *trace.Trace, clientIP, sender string, rcpts []string) []*smtpproto.Reply {
-			ts := make([]greylist.Triplet, len(rcpts))
-			for i, rcpt := range rcpts {
-				ts[i] = greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}
+			b := bursts.Get().(*burst)
+			for _, rcpt := range rcpts {
+				b.ts = append(b.ts, greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt})
 			}
+			b.vs = g.CheckBatchTraced(b.ts, b.vs, tr)
 			var replies []*smtpproto.Reply
-			for i, v := range g.CheckBatchTraced(ts, nil, tr) {
+			for i, v := range b.vs {
 				if r := deferReply(v); r != nil {
 					if replies == nil {
 						replies = make([]*smtpproto.Reply, len(rcpts))
@@ -383,6 +393,10 @@ func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtps
 					replies[i] = r
 				}
 			}
+			// Drop the session's strings before the slices go back.
+			clear(b.ts)
+			b.ts = b.ts[:0]
+			bursts.Put(b)
 			return replies
 		},
 		OnMessage: func(env *smtpserver.Envelope) *smtpproto.Reply {

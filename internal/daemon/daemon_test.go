@@ -293,6 +293,91 @@ func TestFingerprintHookOnlyWithFlag(t *testing.T) {
 	}
 }
 
+// passedBurst returns an engine on a simulated clock and, for each
+// client, 16 recipients; the recipients pass[c][i] marks are passed
+// triplets for (client c, sender), the rest are unknown. The engine
+// keeps no auto-whitelist, so a passed triplet stays a known triplet.
+func passedBurst(t *testing.T, clients []string, sender string, pass func(c, i int) bool) (*greylist.Greylister, [][]string) {
+	t.Helper()
+	clock := simtime.NewSim(simtime.Epoch)
+	p := greylist.DefaultPolicy()
+	p.AutoWhitelistAfter = 0
+	g := greylist.New(p, clock)
+	rcpts := make([][]string, len(clients))
+	var passed []greylist.Triplet
+	for c, ip := range clients {
+		for i := 0; i < 16; i++ {
+			rcpts[c] = append(rcpts[c], "u"+strconv.Itoa(i)+"@dest.example")
+			if pass(c, i) {
+				passed = append(passed, greylist.Triplet{ClientIP: ip, Sender: sender, Recipient: rcpts[c][i]})
+			}
+		}
+	}
+	g.CheckBatch(passed, nil)
+	clock.Advance(p.Threshold + time.Second)
+	for i, v := range g.CheckBatch(passed, nil) {
+		if v.Reason != greylist.ReasonRetryAccepted {
+			t.Fatalf("setup: %v = %+v, want retry-accepted", passed[i], v)
+		}
+	}
+	return g, rcpts
+}
+
+// TestBurstHookNoAllocs: a pipelined burst of 16 known-passed
+// recipients goes through the RCPT hook without allocating.
+func TestBurstHookNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled bursts")
+	}
+	const ip, sender = "192.0.2.1", "c1@corp1.example"
+	g, rcpts := passedBurst(t, []string{ip}, sender, func(int, int) bool { return true })
+	h := sessionHooks(g, io.Discard, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		if replies := h.OnRcptBatchTraced(nil, ip, sender, rcpts[0]); replies != nil {
+			t.Fatalf("known-passed burst replied %v", replies)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("known-passed 16-RCPT burst allocates %.1f/op, want 0", allocs)
+	}
+	if s := g.Stats(); s.PassedKnown < 100*16 {
+		t.Errorf("PassedKnown = %d, want at least %d", s.PassedKnown, 100*16)
+	}
+}
+
+// TestBurstHookConcurrent: bursts running at once through one hook each
+// get their own verdicts. Client c's recipient i is passed when
+// (c+i)%3 == 0 and deferred otherwise, so bursts sharing a slice would
+// answer some recipient with another client's verdict.
+func TestBurstHookConcurrent(t *testing.T) {
+	const sender = "c1@corp1.example"
+	clients := []string{"192.0.2.1", "192.0.2.2", "192.0.2.3", "192.0.2.4"}
+	pass := func(c, i int) bool { return (c+i)%3 == 0 }
+	g, rcpts := passedBurst(t, clients, sender, pass)
+	h := sessionHooks(g, io.Discard, false)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				replies := h.OnRcptBatchTraced(nil, clients[c], sender, rcpts[c])
+				if len(replies) != len(rcpts[c]) {
+					t.Errorf("client %d: %d replies for %d recipients", c, len(replies), len(rcpts[c]))
+					return
+				}
+				for i, r := range replies {
+					if deferred := r != nil && r.Code == 451; deferred == pass(c, i) {
+						t.Errorf("client %d, burst %d, recipient %d: reply %v, passed %v", c, n, i, r, pass(c, i))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // startDNS serves a PTR zone on loopback UDP: 127.0.0.2 is named like a
 // mail server; every other address has no PTR.
 func startDNS(t *testing.T) string {

@@ -90,6 +90,19 @@ type Stage interface {
 	Eval(t Triplet) (StageOutcome, error)
 }
 
+// EnvelopeScoped is an optional marker a Stage implements when its Eval
+// reads only the triplet's ClientIP and Sender, never its Recipient —
+// the SPF, DNSWL and rDNS heuristics are properties of the connecting
+// host and the envelope sender, not of a mailbox. CheckBatch then
+// evaluates the stage once per run of consecutive attempts sharing
+// (ClientIP, Sender) and reuses its answer, error included, for the
+// rest of the run. A stage without the marker runs for every attempt.
+type EnvelopeScoped interface {
+	// EnvelopeScoped is never called; implementing it is the
+	// declaration.
+	EnvelopeScoped()
+}
+
 // stageCounters are one stage's cumulative outcomes, atomics so chain
 // evaluation never takes a lock.
 type stageCounters struct {
@@ -112,23 +125,63 @@ type StageStat struct {
 type Chain struct {
 	stages []Stage
 	counts []stageCounters
+	// memoized[i] reports that stage i is EnvelopeScoped and has a
+	// slot in an envelopeMemo.
+	memoized []bool
 }
 
 // NewChain builds a chain evaluating stages in order.
 func NewChain(stages ...Stage) *Chain {
-	return &Chain{stages: stages, counts: make([]stageCounters, len(stages))}
+	memoized := make([]bool, len(stages))
+	for i, s := range stages {
+		_, scoped := s.(EnvelopeScoped)
+		memoized[i] = scoped && i < memoStages
+	}
+	return &Chain{stages: stages, counts: make([]stageCounters, len(stages)), memoized: memoized}
 }
+
+// memoStages bounds the chain positions an envelopeMemo covers; an
+// envelope-scoped stage further down a longer chain runs per attempt.
+const memoStages = 8
+
+// envelopeMemo holds, for one run of attempts sharing (ClientIP,
+// Sender), each envelope-scoped stage's answer. It lives on the batch's
+// stack; reset it whenever the envelope changes.
+type envelopeMemo struct {
+	valid uint8 // bit i: out[i] and err[i] hold stage i's answer
+	out   [memoStages]StageOutcome
+	err   [memoStages]error
+}
+
+func (m *envelopeMemo) reset() { m.valid = 0 }
 
 // eval runs the chain: first stage answering Bypass or Rekey wins; an
 // erroring stage is counted and skipped. The second result is the index
 // of the deciding stage, -1 when every stage skipped (chain-negative).
 // A nil chain is chain-negative.
-func (c *Chain) eval(t Triplet) (StageOutcome, int) {
+//
+// With a memo, an envelope-scoped stage answers from it when it already
+// ran for this envelope, and fills it otherwise; either way the answer
+// is counted as if the stage had just given it. An attempt that an
+// earlier stage decides never reaches, so never reads or fills, a later
+// stage's slot.
+func (c *Chain) eval(t Triplet, memo *envelopeMemo) (StageOutcome, int) {
 	if c == nil {
 		return StageOutcome{}, -1
 	}
 	for i, s := range c.stages {
-		out, err := s.Eval(t)
+		var out StageOutcome
+		var err error
+		switch {
+		case memo == nil || !c.memoized[i]:
+			out, err = s.Eval(t)
+		case memo.valid&(1<<i) != 0:
+			out, err = memo.out[i], memo.err[i]
+		default:
+			out, err = s.Eval(t)
+			memo.out[i], memo.err[i] = out, err
+			memo.valid |= 1 << i
+		}
 		if err != nil {
 			c.counts[i].errors.Add(1)
 			continue

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +46,10 @@ func (senderDomainRekey) Eval(t Triplet) (StageOutcome, error) {
 	}
 	return StageOutcome{Action: StageRekey, Domain: t.Sender[at+1:]}, nil
 }
+
+// EnvelopeScoped: the rekey reads only the sender, so CheckBatch
+// memoizes it along a run and the reference model covers the memo.
+func (senderDomainRekey) EnvelopeScoped() {}
 
 func TestChainFirstMatchWins(t *testing.T) {
 	skip := &stubStage{name: "skip"}
@@ -502,4 +509,252 @@ func eventsOf(tr *trace.Trace, kind trace.Kind) []trace.Event {
 		}
 	}
 	return out
+}
+
+// envelopeStub is a stubStage declared envelope-scoped.
+type envelopeStub struct{ stubStage }
+
+func (*envelopeStub) EnvelopeScoped() {}
+
+// TestBatchEnvelopeStageOncePerRun: CheckBatch runs an envelope-scoped
+// stage once per run of consecutive attempts sharing (ClientIP, Sender)
+// and a per-triplet stage ahead of it once per attempt, yet counts the
+// reused answer for every attempt it decides.
+func TestBatchEnvelopeStageOncePerRun(t *testing.T) {
+	a := Triplet{ClientIP: "192.0.2.1", Sender: "a@x.example"}
+	b := Triplet{ClientIP: "192.0.2.2", Sender: "a@x.example"}
+	c := Triplet{ClientIP: "192.0.2.1", Sender: "c@x.example"}
+	for _, tc := range []struct {
+		name string
+		envs []Triplet
+		runs int
+	}{
+		{"one envelope", []Triplet{a, a, a, a, a, a, a, a, a, a, a, a, a, a, a, a}, 1},
+		{"A A B B A", []Triplet{a, a, b, b, a}, 3},
+		{"same client, other sender", []Triplet{a, a, c}, 2},
+	} {
+		per := &stubStage{name: "per"}
+		env := &envelopeStub{stubStage{name: "dnswl", out: StageOutcome{Action: StageBypass, Reason: ReasonDNSWL}}}
+		g, _ := newTestGreylister(300 * time.Second)
+		g.SetChain(NewChain(per, env))
+		ts := make([]Triplet, len(tc.envs))
+		for i, e := range tc.envs {
+			ts[i] = e
+			ts[i].Recipient = fmt.Sprintf("u%d@foo.net", i)
+		}
+		for i, v := range g.CheckBatch(ts, nil) {
+			if v.Decision != Pass || v.Reason != ReasonDNSWL {
+				t.Fatalf("%s: verdict %d = %+v, want pass/dnswl-listed", tc.name, i, v)
+			}
+		}
+		if env.calls != tc.runs || per.calls != len(ts) {
+			t.Errorf("%s: envelope stage ran %d times, per-triplet stage %d; want %d and %d",
+				tc.name, env.calls, per.calls, tc.runs, len(ts))
+		}
+		if st := g.Chain().StageStats(); st[1].Hits != uint64(len(ts)) {
+			t.Errorf("%s: envelope stage hits = %d, want %d (one per attempt)", tc.name, st[1].Hits, len(ts))
+		}
+		if s := g.Stats(); s.PassedDNSWL != uint64(len(ts)) || s.Checks != uint64(len(ts)) {
+			t.Errorf("%s: Stats = %+v, want %d DNSWL passes and checks", tc.name, s, len(ts))
+		}
+	}
+}
+
+// TestBatchEnvelopeMemoSkipsDecidedAttempts: an attempt an earlier
+// per-triplet stage bypasses neither fills nor reads the envelope
+// stage's memo, so it is not counted against that stage.
+func TestBatchEnvelopeMemoSkipsDecidedAttempts(t *testing.T) {
+	g, _ := newTestGreylister(300 * time.Second)
+	g.Whitelist().AddRecipient("postmaster@foo.net")
+	env := &envelopeStub{stubStage{name: "dnswl", out: StageOutcome{Action: StageBypass, Reason: ReasonDNSWL}}}
+	g.SetChain(NewChain(WhitelistStage(g.Whitelist()), env))
+	ts := []Triplet{
+		{ClientIP: "192.0.2.1", Sender: "a@x.example", Recipient: "postmaster@foo.net"},
+		{ClientIP: "192.0.2.1", Sender: "a@x.example", Recipient: "u@foo.net"},
+		{ClientIP: "192.0.2.1", Sender: "a@x.example", Recipient: "v@foo.net"},
+	}
+	vs := g.CheckBatch(ts, nil)
+	if vs[0].Reason != ReasonWhitelisted || vs[1].Reason != ReasonDNSWL || vs[2].Reason != ReasonDNSWL {
+		t.Fatalf("verdicts = %+v", vs)
+	}
+	if env.calls != 1 {
+		t.Errorf("envelope stage ran %d times, want 1", env.calls)
+	}
+	if st := g.Chain().StageStats(); st[0].Hits != 1 || st[1].Hits != 2 {
+		t.Errorf("stage stats = %+v, want whitelist 1 hit, dnswl 2", st)
+	}
+}
+
+// TestBatchEnvelopeStageErrorOncePerRun: an erroring envelope stage is
+// asked once per run, and its error is counted for every attempt of the
+// run, each of which fails open to the triplet check.
+func TestBatchEnvelopeStageErrorOncePerRun(t *testing.T) {
+	bad := &envelopeStub{stubStage{name: "rdns", err: errors.New("resolver down")}}
+	g, _ := newTestGreylister(300 * time.Second)
+	g.SetChain(NewChain(WhitelistStage(g.Whitelist()), bad))
+	var ts []Triplet
+	for i, ip := range []string{"192.0.2.1", "192.0.2.1", "192.0.2.2", "192.0.2.2", "192.0.2.1"} {
+		ts = append(ts, Triplet{ClientIP: ip, Sender: "a@x.example", Recipient: fmt.Sprintf("u%d@foo.net", i)})
+	}
+	for i, v := range g.CheckBatch(ts, nil) {
+		if v.Decision != Defer || v.Reason != ReasonFirstSeen {
+			t.Fatalf("verdict %d = %+v, want defer/first-seen", i, v)
+		}
+	}
+	if bad.calls != 3 {
+		t.Errorf("erroring stage ran %d times, want 3 (one per run)", bad.calls)
+	}
+	if st := g.Chain().StageStats(); st[1].Errors != uint64(len(ts)) {
+		t.Errorf("errors = %d, want %d (one per attempt)", st[1].Errors, len(ts))
+	}
+}
+
+// funcStage is a stateless stage answering eval; envFuncStage is the
+// same declared envelope-scoped.
+type funcStage struct {
+	name string
+	eval func(Triplet) (StageOutcome, error)
+}
+
+func (s funcStage) Name() string                         { return s.name }
+func (s funcStage) Eval(t Triplet) (StageOutcome, error) { return s.eval(t) }
+
+type envFuncStage struct{ funcStage }
+
+func (envFuncStage) EnvelopeScoped() {}
+
+// checkBatchPerRCPT is checkBatch evaluating the whole chain for every
+// attempt, with no envelope memo: the reference for
+// TestBatchMemoMatchesPerRCPT.
+func checkBatchPerRCPT(g *Greylister, ts []Triplet, tr *trace.Trace) []Verdict {
+	out := make([]Verdict, len(ts))
+	g.stats.checks.Add(uint64(len(ts)))
+	now := g.clock.Now()
+	ch := g.chain.Load()
+	var rekeys []string
+	for i, t := range ts {
+		o, idx := ch.eval(t, nil)
+		if tr != nil && idx >= 0 {
+			tr.Bypass(now, ch.StageName(idx), o.Action.String())
+		}
+		switch o.Action {
+		case StageBypass:
+			g.countBypass(o.Reason)
+			out[i] = Verdict{Decision: Pass, Reason: o.Reason}
+		case StageRekey:
+			g.stats.spfRekeyed.Add(1)
+			if rekeys == nil {
+				rekeys = make([]string, len(ts))
+			}
+			rekeys[i] = o.Domain
+		}
+	}
+	out = g.storeBatch(ts, rekeys, out, now)
+	if tr != nil {
+		for i := range ts {
+			traceVerdict(tr, now, ts[i], out[i])
+		}
+	}
+	return out
+}
+
+// TestBatchMemoMatchesPerRCPT: random batches of envelope runs, some
+// envelopes recurring, go through CheckBatchTraced and through the
+// per-attempt reference on twin engines. The chain mixes the recipient
+// whitelist, a per-triplet bypass stage between two envelope-scoped
+// stages, and envelope stages that rekey, bypass and error. Verdicts,
+// Stats, stage counters and the traces' events must be identical.
+func TestBatchMemoMatchesPerRCPT(t *testing.T) {
+	const vip = "vip@foo.net"
+	spfish := envFuncStage{funcStage{"spf", func(t Triplet) (StageOutcome, error) {
+		switch {
+		case strings.HasSuffix(t.ClientIP, ".1"):
+			return StageOutcome{}, errors.New("spf temperror")
+		case strings.HasSuffix(t.Sender, "@rekey.example"):
+			return StageOutcome{Action: StageRekey, Domain: "rekey.example"}, nil
+		}
+		return StageOutcome{}, nil
+	}}}
+	vipStage := funcStage{"vip", func(t Triplet) (StageOutcome, error) {
+		if t.Recipient == vip {
+			return StageOutcome{Action: StageBypass, Reason: Reason(99)}, nil
+		}
+		return StageOutcome{}, nil
+	}}
+	dnswlish := envFuncStage{funcStage{"dnswl", func(t Triplet) (StageOutcome, error) {
+		switch {
+		case strings.HasSuffix(t.ClientIP, ".2"):
+			return StageOutcome{Action: StageBypass, Reason: ReasonDNSWL}, nil
+		case strings.HasSuffix(t.ClientIP, ".3"):
+			return StageOutcome{}, errors.New("dnswl timeout")
+		}
+		return StageOutcome{}, nil
+	}}}
+	build := func() (*Greylister, *simtime.Sim) {
+		clock := simtime.NewSim(simtime.Epoch)
+		g := New(earnedPolicy(300*time.Second), clock)
+		g.Whitelist().AddRecipient("postmaster@foo.net")
+		g.SetChain(NewChain(WhitelistStage(g.Whitelist()), spfish, vipStage, dnswlish))
+		return g, clock
+	}
+	memo, memoClock := build()
+	ref, refClock := build()
+	tracer := trace.New(4)
+
+	clients := []string{"192.0.2.1", "192.0.2.2", "192.0.2.3", "192.0.2.4", "198.51.100.4"}
+	senders := []string{"a@rekey.example", "b@plain.example", "B@Plain.example", ""}
+	rcpts := []string{"u@foo.net", "v@foo.net", vip, "postmaster@foo.net", "w@foo.net"}
+	rng := rand.New(rand.NewSource(1))
+	for batch := 0; batch < 300; batch++ {
+		var ts []Triplet
+		for runs := 1 + rng.Intn(4); runs > 0; runs-- {
+			env := Triplet{ClientIP: clients[rng.Intn(len(clients))], Sender: senders[rng.Intn(len(senders))]}
+			if len(ts) > 0 && rng.Intn(3) == 0 {
+				env = ts[rng.Intn(len(ts))] // an earlier envelope again
+			}
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				env.Recipient = rcpts[rng.Intn(len(rcpts))]
+				ts = append(ts, env)
+			}
+		}
+		memoTr := tracer.StartSession(trace.Tags{}, "memo", nil)
+		refTr := tracer.StartSession(trace.Tags{}, "ref", nil)
+		got := memo.CheckBatchTraced(ts, nil, memoTr)
+		want := checkBatchPerRCPT(ref, ts, refTr)
+		memoTr.Finish("done")
+		refTr.Finish("done")
+		for i := range ts {
+			if got[i] != want[i] {
+				t.Fatalf("batch %d, attempt %d %v: memo %+v, per-RCPT %+v", batch, i, ts[i], got[i], want[i])
+			}
+		}
+		if g, w := memo.Stats(), ref.Stats(); g != w {
+			t.Fatalf("batch %d: Stats memo %+v, per-RCPT %+v", batch, g, w)
+		}
+		gs, ws := memo.Chain().StageStats(), ref.Chain().StageStats()
+		for i := range ws {
+			if gs[i] != ws[i] {
+				t.Fatalf("batch %d: stage stats memo %+v, per-RCPT %+v", batch, gs, ws)
+			}
+		}
+		for _, kind := range []trace.Kind{trace.KindBypass, trace.KindGreylist} {
+			ge, we := eventsOf(memoTr, kind), eventsOf(refTr, kind)
+			if len(ge) != len(we) {
+				t.Fatalf("batch %d: %v events memo %d, per-RCPT %d", batch, kind, len(ge), len(we))
+			}
+			for i := range we {
+				if ge[i] != we[i] {
+					t.Fatalf("batch %d: %v event %d memo %+v, per-RCPT %+v", batch, kind, i, ge[i], we[i])
+				}
+			}
+		}
+		if rng.Intn(3) == 0 {
+			memoClock.Advance(301 * time.Second)
+			refClock.Advance(301 * time.Second)
+		}
+	}
+	st := memo.Chain().StageStats()
+	if st[1].Errors == 0 || st[1].Rekeys == 0 || st[2].Hits == 0 || st[3].Hits == 0 || st[3].Errors == 0 {
+		t.Fatalf("the batches left an outcome unexercised: %+v", st)
+	}
 }

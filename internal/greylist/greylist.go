@@ -452,7 +452,7 @@ func (g *Greylister) Check(t Triplet) Verdict { return g.CheckTraced(t, nil) }
 // untouched.
 func (g *Greylister) CheckTraced(t Triplet, tr *trace.Trace) Verdict {
 	ch := g.chain.Load()
-	out, idx := ch.eval(t)
+	out, idx := ch.eval(t, nil)
 	now := g.clock.Now()
 	var v Verdict
 	inst := g.inst.Load()
@@ -750,8 +750,11 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 
 // CheckBatch decides a run of delivery attempts (e.g. a pipelined burst
 // of RCPTs) sharing one timestamp and one trip through the store's
-// locks: a single read-lock pass decides every fast-path attempt, and
-// only the misses take the exclusive lock, once, together.
+// locks: the bypass chain runs first, each EnvelopeScoped stage once per
+// run of consecutive attempts sharing (ClientIP, Sender); then a single
+// read-lock pass decides every fast-path attempt, and only the misses
+// take the exclusive lock, once, together. Every attempt is counted,
+// traced and attributed to its deciding stage as Check would.
 //
 // The result slice is out when it has sufficient capacity (letting
 // callers reuse one slice across batches), a fresh allocation otherwise.
@@ -805,14 +808,20 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict, tr *trace.Trace) []
 	// Evaluate the chain before (and outside) the store locks: stages
 	// may do DNS I/O on a cache miss, which must never run under the
 	// read lock the fast path shares with every other connection.
+	// Envelope-scoped stages run once per run of attempts sharing
+	// (ClientIP, Sender); the memo carries their answers along the run.
 	// Bypass verdicts complete here; out[i].Decision == 0 marks the
 	// attempts the store must decide. The rekey slice is only
 	// allocated when some stage actually rekeys, keeping the
 	// chain-negative batch allocation-free.
 	ch := g.chain.Load()
+	var memo envelopeMemo
 	var rekeys []string
 	for i, t := range ts {
-		o, idx := ch.eval(t)
+		if i > 0 && (t.ClientIP != ts[i-1].ClientIP || t.Sender != ts[i-1].Sender) {
+			memo.reset()
+		}
+		o, idx := ch.eval(t, &memo)
 		if tr != nil && idx >= 0 {
 			tr.Bypass(now, ch.StageName(idx), o.Action.String())
 		}

@@ -370,11 +370,15 @@ func (r *modelRun) do() (string, []Verdict, []Verdict) {
 		t := r.triplet()
 		return fmt.Sprintf("Check %v", t), []Verdict{r.g.Check(t)}, []Verdict{r.m.check(t, now)}
 	case n < 55:
-		// A pipelined burst: one client and sender, a few recipients.
+		// A pipelined burst: runs of recipients sharing a client and
+		// sender, now and then back to the burst's first envelope.
 		ts := []Triplet{r.triplet()}
-		for k := r.rng.Intn(5); k > 0; k-- {
+		for k := r.rng.Intn(8); k > 0; k-- {
 			u := r.triplet()
-			if r.rng.Intn(3) > 0 {
+			switch r.rng.Intn(4) {
+			case 0, 1:
+				u.ClientIP, u.Sender = ts[len(ts)-1].ClientIP, ts[len(ts)-1].Sender
+			case 2:
 				u.ClientIP, u.Sender = ts[0].ClientIP, ts[0].Sender
 			}
 			ts = append(ts, u)

@@ -3,6 +3,8 @@ package smtpproto
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -31,21 +33,48 @@ func FuzzParseReply(f *testing.F) {
 	})
 }
 
-// FuzzParseMailArg: path parsing must never panic, and accepted
-// mailboxes must round-trip through the client's MAIL FROM rendering.
+// FuzzParseMailArg: on every input, ParseMailArg and ParseRcptArg
+// return the mailbox, params and error text of the reference parser
+// below, never panic, and an accepted mailbox round-trips through the
+// client's MAIL FROM rendering.
 func FuzzParseMailArg(f *testing.F) {
 	f.Add("FROM:<a@b.example>")
 	f.Add("FROM:<>")
 	f.Add("FROM:<@r.example:u@d.example> SIZE=100")
+	f.Add("TO:<u0.1@dest.example> NOTIFY=NEVER")
+	f.Add("to: <U@Dest.Example>")
+	f.Add("TO:<>")
 	f.Add("junk")
+	f.Add("FROM:<a@.b.example>")
+	f.Add("FROM:<a@b.example.>")
+	f.Add("TO:<a@b..example>")
+	f.Add("FROM:<a@.>")
+	f.Add("FROM:<@>")
+	f.Add("TO:<@>")
+	f.Add("FROM:<a@b\xc3\xa4.example>")
+	f.Add("TO:<\xff@b.example>")
+	f.Add("FROM:<a b@c.example>")
+	f.Add("TO:<a\tb@c.example>")
+	f.Add("FROM:<<a@b.example>")
+	f.Add("TO:<a<b@c.example> X=")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		mailbox, _, err := ParseMailArg(input)
-		if err != nil {
-			return
+		for _, p := range []struct {
+			parse, ref func(string) (string, map[string]string, error)
+		}{
+			{ParseMailArg, func(s string) (string, map[string]string, error) { return refParsePathArg(s, "FROM") }},
+			{ParseRcptArg, refParseRcptArg},
+		} {
+			mb, params, err := p.parse(input)
+			wmb, wparams, werr := p.ref(input)
+			if mb != wmb || !maps.Equal(params, wparams) || (params == nil) != (wparams == nil) || errText(err) != errText(werr) {
+				t.Fatalf("%q: parsed %q, %v, %v; reference %q, %v, %v", input, mb, params, err, wmb, wparams, werr)
+			}
 		}
-		if mailbox == "" {
-			return // null path
+
+		mailbox, _, err := ParseMailArg(input)
+		if err != nil || mailbox == "" {
+			return // refused, or the null path
 		}
 		again, _, err := ParseMailArg("FROM:<" + mailbox + ">")
 		if err != nil {
@@ -55,6 +84,81 @@ func FuzzParseMailArg(f *testing.F) {
 			t.Fatalf("mailbox unstable: %q vs %q", mailbox, again)
 		}
 	})
+}
+
+// refParsePathArg, refParsePath and refParseMailbox are the path parser
+// as it was before parseMailbox validated with byte loops: the
+// reference FuzzParseMailArg holds the byte-loop parser to.
+func refParsePathArg(arg, keyword string) (string, map[string]string, error) {
+	rest, ok := cutPrefixFold(arg, keyword+":")
+	if !ok {
+		return "", nil, fmt.Errorf("%w: expected %s:", ErrBadSyntax, keyword)
+	}
+	rest = strings.TrimLeft(rest, " ")
+	if len(rest) == 0 || rest[0] != '<' {
+		return "", nil, fmt.Errorf("%w: path must be angle-bracketed", ErrBadPath)
+	}
+	end := strings.IndexByte(rest, '>')
+	if end < 0 {
+		return "", nil, fmt.Errorf("%w: unterminated path", ErrBadPath)
+	}
+	path := rest[1:end]
+	mailbox, err := refParsePath(path)
+	if err != nil {
+		return "", nil, err
+	}
+	params, err := parseESMTPParams(strings.TrimSpace(rest[end+1:]))
+	if err != nil {
+		return "", nil, err
+	}
+	return mailbox, params, nil
+}
+
+func refParseRcptArg(arg string) (string, map[string]string, error) {
+	mailbox, params, err := refParsePathArg(arg, "TO")
+	if err == nil && mailbox == "" {
+		return "", nil, fmt.Errorf("%w: empty forward-path", ErrBadPath)
+	}
+	return mailbox, params, err
+}
+
+func refParsePath(path string) (string, error) {
+	if path == "" {
+		return "", nil
+	}
+	if len(path) > MaxPathLength {
+		return "", fmt.Errorf("%w: %d octets", ErrBadPath, len(path))
+	}
+	if path[0] == '@' {
+		colon := strings.IndexByte(path, ':')
+		if colon < 0 {
+			return "", fmt.Errorf("%w: source route without colon", ErrBadPath)
+		}
+		path = path[colon+1:]
+	}
+	return refParseMailbox(path)
+}
+
+func refParseMailbox(mbox string) (string, error) {
+	at := strings.LastIndexByte(mbox, '@')
+	if at <= 0 || at == len(mbox)-1 {
+		return "", fmt.Errorf("%w: mailbox %q", ErrBadPath, mbox)
+	}
+	local, domain := mbox[:at], mbox[at+1:]
+	if strings.ContainsAny(local, " \t<>") {
+		return "", fmt.Errorf("%w: local part %q", ErrBadPath, local)
+	}
+	for _, label := range strings.Split(domain, ".") {
+		if label == "" {
+			return "", fmt.Errorf("%w: domain %q", ErrBadPath, domain)
+		}
+		for _, c := range label {
+			if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '[' || c == ']' || c == ':') {
+				return "", fmt.Errorf("%w: domain %q", ErrBadPath, domain)
+			}
+		}
+	}
+	return mbox, nil
 }
 
 // FuzzParseCommandBytes: the server's byte parser returns the same

@@ -274,22 +274,24 @@ func splitEnhanced(code int, s string) (enhanced, rest string, ok bool) {
 // returning the reverse-path mailbox (empty for the null sender "<>") and
 // any ESMTP parameters.
 func ParseMailArg(arg string) (mailbox string, params map[string]string, err error) {
-	return parsePathArg(arg, "FROM")
+	return parsePathArg(arg, "FROM:")
 }
 
 // ParseRcptArg parses the argument of RCPT ("TO:<path> [params]").
 func ParseRcptArg(arg string) (mailbox string, params map[string]string, err error) {
-	mailbox, params, err = parsePathArg(arg, "TO")
+	mailbox, params, err = parsePathArg(arg, "TO:")
 	if err == nil && mailbox == "" {
 		return "", nil, fmt.Errorf("%w: empty forward-path", ErrBadPath)
 	}
 	return mailbox, params, err
 }
 
-func parsePathArg(arg, keyword string) (string, map[string]string, error) {
-	rest, ok := cutPrefixFold(arg, keyword+":")
+// parsePathArg parses "<prefix><path> [params]", where prefix is
+// "FROM:" or "TO:", matched case-insensitively.
+func parsePathArg(arg, prefix string) (string, map[string]string, error) {
+	rest, ok := cutPrefixFold(arg, prefix)
 	if !ok {
-		return "", nil, fmt.Errorf("%w: expected %s:", ErrBadSyntax, keyword)
+		return "", nil, fmt.Errorf("%w: expected %s", ErrBadSyntax, prefix)
 	}
 	rest = strings.TrimLeft(rest, " ")
 	if len(rest) == 0 || rest[0] != '<' {
@@ -338,24 +340,36 @@ func parsePath(path string) (string, error) {
 	return parseMailbox(path)
 }
 
+// parseMailbox checks local@domain: the local part holds no space,
+// tab or angle bracket, and the domain is dot-separated non-empty
+// labels of ASCII letters, digits and "-_[]:". It allocates only for an
+// error.
 func parseMailbox(mbox string) (string, error) {
 	at := strings.LastIndexByte(mbox, '@')
 	if at <= 0 || at == len(mbox)-1 {
 		return "", fmt.Errorf("%w: mailbox %q", ErrBadPath, mbox)
 	}
 	local, domain := mbox[:at], mbox[at+1:]
-	if strings.ContainsAny(local, " \t<>") {
-		return "", fmt.Errorf("%w: local part %q", ErrBadPath, local)
+	for i := 0; i < len(local); i++ {
+		switch local[i] {
+		case ' ', '\t', '<', '>':
+			return "", fmt.Errorf("%w: local part %q", ErrBadPath, local)
+		}
 	}
-	for _, label := range strings.Split(domain, ".") {
-		if label == "" {
+	label := 0 // bytes in the current label
+	for i := 0; i < len(domain); i++ {
+		switch c := domain[i]; {
+		case c == '.' && label > 0:
+			label = 0
+		case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '-' || c == '_' || c == '[' || c == ']' || c == ':':
+			label++
+		default: // an empty label, or a byte no label may hold
 			return "", fmt.Errorf("%w: domain %q", ErrBadPath, domain)
 		}
-		for _, c := range label {
-			if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '[' || c == ']' || c == ':') {
-				return "", fmt.Errorf("%w: domain %q", ErrBadPath, domain)
-			}
-		}
+	}
+	if label == 0 {
+		return "", fmt.Errorf("%w: domain %q", ErrBadPath, domain)
 	}
 	return mbox, nil
 }

@@ -256,6 +256,25 @@ func TestParseRcptArg(t *testing.T) {
 	}
 }
 
+// TestParsePathArgAllocs pins the RCPT and MAIL path parsers at zero
+// allocations for an accepted mailbox without parameters: they run once
+// per pipelined command on the server's hot path.
+func TestParsePathArgAllocs(t *testing.T) {
+	rcpt := testing.AllocsPerRun(100, func() {
+		if mb, _, err := ParseRcptArg("TO:<u0.1@dest.example>"); err != nil || mb != "u0.1@dest.example" {
+			t.Fatalf("ParseRcptArg = %q, %v", mb, err)
+		}
+	})
+	mail := testing.AllocsPerRun(100, func() {
+		if mb, _, err := ParseMailArg("FROM:<c1@corp1.example>"); err != nil || mb != "c1@corp1.example" {
+			t.Fatalf("ParseMailArg = %q, %v", mb, err)
+		}
+	})
+	if rcpt != 0 || mail != 0 {
+		t.Errorf("ParseRcptArg allocates %.1f/op, ParseMailArg %.1f/op; want 0", rcpt, mail)
+	}
+}
+
 func TestPathTooLong(t *testing.T) {
 	long := strings.Repeat("a", MaxPathLength) + "@example.org"
 	if _, _, err := ParseMailArg("FROM:<" + long + ">"); !errors.Is(err, ErrBadPath) {
