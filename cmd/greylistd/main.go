@@ -15,7 +15,7 @@
 //	          [-threshold 300s] [-retry-window 48h] [-max-age 840h]
 //	          [-auto-whitelist 5] [-whiteexp 0] [-subnet] [-state greylist.db]
 //	          [-wal greylist.wal] [-wal-sync interval] [-wal-compact-every 16777216]
-//	          [-rcpt-batch 64] [-gc 10m] [-fingerprint]
+//	          [-gc 10m] [-fingerprint]
 //	          [-policy-listen 127.0.0.1:10023]
 //	          [-tls-cert cert.pem -tls-key key.pem | -tls-self-signed]
 //	          [-admin-addr 127.0.0.1:9925] [-trace-ring 1024]

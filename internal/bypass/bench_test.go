@@ -20,10 +20,21 @@ import (
 // benchEngine builds a greylister fronted by the full stage set, with
 // every DNS answer pre-warmed into the stage caches.
 func benchEngine(tb testing.TB, threshold time.Duration) (*greylist.Greylister, *simtime.Sim, greylist.Triplet) {
-	e := newEnv(tb)
 	p := greylist.DefaultPolicy()
 	p.Threshold = threshold
 	p.EarnedLifetime = 35 * 24 * time.Hour
+	g, clock := chainEngine(tb, p)
+	// 203.0.113.9 is chain-negative everywhere: not whitelisted, SPF
+	// Fail for bulk.example, not DNSWL-listed, no PTR.
+	tr := trip("203.0.113.9", "news@bulk.example")
+	g.Check(tr) // warm every stage cache
+	return g, clock, tr
+}
+
+// chainEngine builds a greylister with policy p fronted by the full
+// stage set.
+func chainEngine(tb testing.TB, p greylist.Policy) (*greylist.Greylister, *simtime.Sim) {
+	e := newEnv(tb)
 	g := greylist.New(p, e.clock)
 	g.SetChain(greylist.NewChain(
 		greylist.WhitelistStage(g.Whitelist()),
@@ -31,11 +42,7 @@ func benchEngine(tb testing.TB, threshold time.Duration) (*greylist.Greylister, 
 		DNSWL(e.res, "wl.example", CacheConfig{Clock: e.clock}),
 		RDNS(e.res, CacheConfig{Clock: e.clock}),
 	))
-	// 203.0.113.9 is chain-negative everywhere: not whitelisted, SPF
-	// Fail for bulk.example, not DNSWL-listed, no PTR.
-	tr := trip("203.0.113.9", "news@bulk.example")
-	g.Check(tr) // warm every stage cache
-	return g, e.clock, tr
+	return g, e.clock
 }
 
 // burst is a pipelined 16-RCPT envelope from tr's client and sender.
@@ -71,6 +78,46 @@ func batchAllocs(t *testing.T, g *greylist.Greylister, clock *simtime.Sim, label
 	}
 	if out[15].Decision != greylist.Pass {
 		t.Fatalf("%s verdict = %+v, want pass", label, out[15])
+	}
+}
+
+// rekeyedAllocs checks that checks from an SPF-passing client, keyed by
+// its domain (bulk.example authorizes 192.0.2.0/24), allocate nothing:
+// a lone too-soon Check, a pipelined 16-RCPT too-soon CheckBatch and a
+// lone known-passed Check. The engine grants no earned whitelist and no
+// auto-whitelist, either of which would answer before the passed table.
+func rekeyedAllocs(t *testing.T, label string, observed bool) {
+	t.Helper()
+	p := greylist.DefaultPolicy()
+	p.AutoWhitelistAfter = 0
+	g, clock := chainEngine(t, p)
+	if observed {
+		g.SetObserver(obs.New(obs.Config{Clock: clock}).Greylist())
+	}
+	tr := trip("192.0.2.10", "news@bulk.example")
+	if v := g.Check(tr); v.Reason != greylist.ReasonFirstSeen || g.Stats().SPFRekeyed != 1 {
+		t.Fatalf("%s SPF-passing verdict = %+v, rekeyed %d", label, v, g.Stats().SPFRekeyed)
+	}
+	if a := testing.AllocsPerRun(200, func() { g.Check(tr) }); a != 0 {
+		t.Errorf("%s rekeyed too-soon Check allocates %.1f/op", label, a)
+	}
+	ts := burst(trip("192.0.2.11", "news@bulk.example"))
+	out := g.CheckBatch(ts, nil) // first seen: the inserts allocate
+	if a := testing.AllocsPerRun(200, func() { out = g.CheckBatch(ts, out) }); a != 0 {
+		t.Errorf("%s rekeyed 16-RCPT CheckBatch allocates %.1f/op", label, a)
+	}
+	if out[15].Reason != greylist.ReasonTooSoon {
+		t.Fatalf("%s batch verdict = %+v, want too-soon", label, out[15])
+	}
+	clock.Advance(301 * time.Second)
+	if v := g.Check(tr); v.Reason != greylist.ReasonRetryAccepted {
+		t.Fatalf("%s promote verdict = %+v", label, v)
+	}
+	if a := testing.AllocsPerRun(200, func() { g.Check(tr) }); a != 0 {
+		t.Errorf("%s rekeyed known-passed Check allocates %.1f/op", label, a)
+	}
+	if v := g.Check(tr); v.Reason != greylist.ReasonKnownTriplet {
+		t.Fatalf("%s verdict = %+v, want known-triplet", label, v)
 	}
 }
 
@@ -132,8 +179,8 @@ func BenchmarkBareTriplet(b *testing.B) {
 }
 
 // TestHotPathAllocs enforces in the ordinary test run what the
-// benchmarks report: 0 allocs/op for chain-negative and known-passed
-// checks with every stage enabled.
+// benchmarks report: 0 allocs/op for chain-negative, known-passed and
+// SPF-rekeyed checks with every stage enabled.
 func TestHotPathAllocs(t *testing.T) {
 	g, clock, tr := benchEngine(t, 300*time.Second)
 	if a := testing.AllocsPerRun(200, func() { g.Check(tr) }); a != 0 {
@@ -156,6 +203,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("earned Check allocates %.1f/op", a)
 	}
 	batchAllocs(t, g, clock, "")
+	rekeyedAllocs(t, "", false)
 }
 
 // benchEngineObserved is benchEngine with the live observatory's
@@ -196,6 +244,7 @@ func TestHotPathAllocsObserved(t *testing.T) {
 		t.Errorf("observed earned Check allocates %.1f/op", a)
 	}
 	batchAllocs(t, g, clock, "observed")
+	rekeyedAllocs(t, "observed", true)
 }
 
 func BenchmarkCheckChainNegativeObserved(b *testing.B) {

@@ -121,14 +121,14 @@ func TestSPFStageTempErrorFailsOpen(t *testing.T) {
 // TestBatchOutageOncePerEnvelope: with the resolver down, a pipelined
 // 16-RCPT burst costs each erroring stage one failed lookup, not one per
 // recipient, and every recipient still counts the stage's error and is
-// greylisted as usual. (The DNSWL stage is left out: dnsbl.Lookup reads
-// a failed lookup as "not listed", so that stage never errors.)
+// greylisted as usual.
 func TestBatchOutageOncePerEnvelope(t *testing.T) {
 	e := newEnv(t)
 	g := greylist.New(greylist.DefaultPolicy(), e.clock)
 	g.SetChain(greylist.NewChain(
 		greylist.WhitelistStage(g.Whitelist()),
 		e.spfStage(),
+		DNSWL(e.res, "wl.example", CacheConfig{Clock: e.clock}),
 		RDNS(e.res, CacheConfig{Clock: e.clock}),
 	))
 	e.down = true
@@ -141,8 +141,8 @@ func TestBatchOutageOncePerEnvelope(t *testing.T) {
 			t.Fatalf("verdict %d with DNS down = %+v, want defer/first-seen", i, v)
 		}
 	}
-	if n := e.exchanges.Load(); n != 2 {
-		t.Errorf("%d DNS exchanges for one envelope, want 2 (one per DNS-backed stage)", n)
+	if n := e.exchanges.Load(); n != 3 {
+		t.Errorf("%d DNS exchanges for one envelope, want 3 (one per DNS-backed stage)", n)
 	}
 	for _, st := range g.Chain().StageStats()[1:] {
 		if st.Errors != uint64(len(ts)) {
@@ -182,6 +182,27 @@ func TestDNSWLStage(t *testing.T) {
 	e.clock.Advance(2 * time.Hour)
 	if out, _ := s.Eval(trip("198.51.100.7", "a@b.example")); out.Action != greylist.StageSkip {
 		t.Fatalf("post-delist eval = %+v, want skip", out)
+	}
+}
+
+// TestDNSWLStageOutage: a failed DNSWL lookup is an error (counted,
+// failed open) and is not cached, so a listed client bypasses on its
+// first check after the resolver recovers.
+func TestDNSWLStageOutage(t *testing.T) {
+	e := newEnv(t)
+	g := greylist.New(greylist.DefaultPolicy(), e.clock)
+	g.SetChain(greylist.NewChain(DNSWL(e.res, "wl.example", CacheConfig{Clock: e.clock})))
+	listed := trip("198.51.100.7", "a@b.example")
+	e.down = true
+	if v := g.Check(listed); v.Decision != greylist.Defer {
+		t.Fatalf("verdict with DNS down = %+v, want defer", v)
+	}
+	if st := g.Chain().StageStats(); st[0].Errors != 1 {
+		t.Fatalf("stage stats with DNS down = %+v, want 1 error", st)
+	}
+	e.down = false
+	if v := g.Check(listed); v.Reason != greylist.ReasonDNSWL {
+		t.Fatalf("verdict after recovery = %+v, want dnswl-listed", v)
 	}
 }
 

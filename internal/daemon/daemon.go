@@ -108,7 +108,6 @@ func Start(argv []string, log io.Writer) (_ *Daemon, err error) {
 		walCompact  = fs.Int64("wal-compact-every", 16<<20, "bytes of wal growth before checkpoint compaction (<0 disables)")
 		gcEvery     = fs.Duration("gc", 10*time.Minute, "state garbage-collection interval")
 		fingerprint = fs.Bool("fingerprint", false, "log an SMTP-dialect fingerprint for every session")
-		rcptBatch   = fs.Int("rcpt-batch", 64, "max pipelined RCPT commands decided per engine batch (RFC 2920 clients): the SPF, DNSWL and rDNS stages run once per run of RCPTs sharing client and sender, then fast-path hits are decided before misses, all at one clock read")
 		policyAddr  = fs.String("policy-listen", "", "also serve the Postfix policy-delegation protocol on this address (for check_policy_service)")
 		tlsCert     = fs.String("tls-cert", "", "TLS certificate file for STARTTLS (with -tls-key)")
 		tlsKey      = fs.String("tls-key", "", "TLS key file for STARTTLS")
@@ -255,7 +254,6 @@ func Start(argv []string, log io.Writer) (_ *Daemon, err error) {
 		TLS:           tlsConfig,
 		StampReceived: true,
 		ReadTimeout:   5 * time.Minute, // RFC 5321 §4.5.3.2
-		MaxRcptBatch:  *rcptBatch,
 		Tracer:        tracer,
 		Hooks:         sessionHooks(g, log, *fingerprint),
 	})
@@ -361,23 +359,22 @@ type burst struct {
 	vs []greylist.Verdict
 }
 
-// sessionHooks puts g behind the SMTP verbs: RCPTs, lone or pipelined,
-// get g's verdicts, and each accepted message is logged. With
-// fingerprint, each session's SMTP-dialect fingerprint is logged too.
-// OnSessionEnd is installed only then, because a non-nil hook makes
-// the server keep a verb log for every connection.
+// sessionHooks puts g behind the SMTP verbs: RCPTs get g's verdicts
+// through one burst hook, a lone RCPT being a burst of one, and each
+// accepted message is logged. With fingerprint, each session's
+// SMTP-dialect fingerprint is logged too. OnSessionEnd is installed
+// only then, because a non-nil hook makes the server keep a verb log
+// for every connection.
 func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtpserver.Hooks {
 	// bursts recycles the triplet and verdict slices of finished bursts,
 	// so a burst of accepted recipients allocates nothing.
 	bursts := sync.Pool{New: func() any { return new(burst) }}
 	h := smtpserver.Hooks{
-		OnRcptTraced: func(tr *trace.Trace, clientIP, sender, rcpt string) *smtpproto.Reply {
-			return deferReply(g.CheckTraced(greylist.Triplet{ClientIP: clientIP, Sender: sender, Recipient: rcpt}, tr))
-		},
-		// Pipelined RCPT bursts take one trip through the engine's
+		// A pipelined RCPT burst takes one trip through the engine's
 		// locks instead of one per recipient, and a traced session
-		// records one verdict per recipient. Replies are allocated
-		// only when some recipient is deferred (nil accepts all).
+		// records one verdict per recipient. The server passes a lone
+		// RCPT as a burst of one. Replies are allocated only when some
+		// recipient is deferred (nil accepts all).
 		OnRcptBatchTraced: func(tr *trace.Trace, clientIP, sender string, rcpts []string) []*smtpproto.Reply {
 			b := bursts.Get().(*burst)
 			for _, rcpt := range rcpts {

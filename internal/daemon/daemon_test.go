@@ -3,12 +3,16 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +24,7 @@ import (
 	"repro/internal/dnsserver"
 	"repro/internal/greylist"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 // syncBuffer is a log writer the daemon's goroutines may share.
@@ -494,4 +499,160 @@ func TestAssembly(t *testing.T) {
 	c.send(burst...)
 	c.expect(250, 250, 250, 250)
 	c.quit()
+}
+
+// traceEvents reads the kept session traces from /debug/traces and
+// returns, per client address, each event as "kind name detail code"
+// (times and durations left out), once every session listed in want
+// has finished.
+func traceEvents(t *testing.T, admin net.Addr, want ...string) map[string][]string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body := httpGet(t, admin, "/debug/traces?format=jsonl")
+		got := make(map[string][]string)
+		dec := json.NewDecoder(strings.NewReader(body))
+		for {
+			var rec trace.Record
+			if err := dec.Decode(&rec); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("decoding /debug/traces: %v", err)
+			}
+			if len(rec.Events) == 0 || rec.Outcome == "" {
+				continue
+			}
+			var evs []string
+			for _, e := range rec.Events {
+				evs = append(evs, fmt.Sprintf("%s %s %s %d", e.Kind, e.Name, e.Detail, e.Code))
+			}
+			got[rec.Events[0].Detail] = evs
+		}
+		done := true
+		for _, client := range want {
+			done = done && got[client] != nil
+		}
+		if done {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions %q not all on /debug/traces:\n%s", want, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestLoneRcptIsBatchOfOne: a RCPT the client does not pipeline is one
+// engine call of one triplet, so N lone RCPTs raise
+// greylist_batch_seconds_count and the le="1" bucket of
+// greylist_batch_size by N. Their replies and the sessions' verb,
+// bypass and greylist trace events are those greylistd gave when a lone
+// RCPT had a hook of its own.
+func TestLoneRcptIsBatchOfOne(t *testing.T) {
+	d := start(t, io.Discard, "-listen", "127.0.0.1:0", "-threshold", "1h",
+		"-admin-addr", "127.0.0.1:0", "-dns", startDNS(t), "-rdns")
+	defer d.Close()
+	admin := d.AdminAddr()
+	before := scrape(t, admin)
+
+	c := dialSMTP(t, d.SMTPAddr().String(), "")
+	c.send("MAIL FROM:<s@client.example>")
+	c.expect(250)
+	for _, rcpt := range []string{"a", "b", "c"} {
+		c.send("RCPT TO:<" + rcpt + "@dest.example>")
+		c.expect(451)
+	}
+	c.quit()
+	// 127.0.0.2's PTR names a mail server: the rDNS stage bypasses.
+	// The unknown command's 500 makes the sampler keep the session.
+	c = dialSMTP(t, d.SMTPAddr().String(), "127.0.0.2")
+	c.send("MAIL FROM:<s@relay.example>")
+	c.expect(250)
+	c.send("RCPT TO:<a@dest.example>")
+	c.expect(250)
+	c.send("BOGUS")
+	c.expect(500)
+	c.quit()
+
+	after := scrape(t, admin)
+	for _, series := range []string{"greylist_batch_seconds_count", `greylist_batch_size_bucket{le="1"}`, "greylist_checks_total"} {
+		if got := after[series] - before[series]; got != 4 {
+			t.Errorf("%s rose by %v over 4 lone RCPTs, want 4", series, got)
+		}
+	}
+
+	got := traceEvents(t, admin, "127.0.0.1", "127.0.0.2")
+	for client, want := range map[string][]string{
+		"127.0.0.1": {
+			"attempt session 127.0.0.1 0",
+			"verb connect greylistd.local ESMTP ready 220",
+			"verb EHLO greylistd.local Hello client.example 250",
+			"verb MAIL Sender OK 250",
+			"greylist defer (127.0.0.1, s@client.example, a@dest.example) first-seen 1",
+			"verb RCPT Greylisted, please retry in 3600 seconds 451",
+			"greylist defer (127.0.0.1, s@client.example, b@dest.example) first-seen 1",
+			"verb RCPT Greylisted, please retry in 3600 seconds 451",
+			"greylist defer (127.0.0.1, s@client.example, c@dest.example) first-seen 1",
+			"verb RCPT Greylisted, please retry in 3600 seconds 451",
+			"verb QUIT greylistd.local closing connection 221",
+			"outcome deferred  0",
+		},
+		"127.0.0.2": {
+			"attempt session 127.0.0.2 0",
+			"verb connect greylistd.local ESMTP ready 220",
+			"verb EHLO greylistd.local Hello client.example 250",
+			"verb MAIL Sender OK 250",
+			"bypass rdns bypass 0",
+			"greylist pass (127.0.0.2, s@relay.example, a@dest.example) rdns-mailserver 0",
+			"verb RCPT Recipient OK 250",
+			"verb BOGUS Command not recognized 500",
+			"verb QUIT greylistd.local closing connection 221",
+			"outcome no-delivery  0",
+		},
+	} {
+		if !slices.Equal(got[client], want) {
+			t.Errorf("%s trace:\n%s\nwant:\n%s", client, strings.Join(got[client], "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics_families.txt from greylistd as shipped")
+
+// TestMetricsCatalogue: greylistd as shipped (WAL and checkpoint,
+// policy service, admin listener, the SPF, DNSWL and rDNS stages)
+// exports exactly the /metrics families in testdata/metrics_families.txt,
+// one "name type" line each. A dashboard breaks when a family goes, so
+// adding or removing one is a deliberate edit: run the test with
+// -update and commit the file.
+func TestMetricsCatalogue(t *testing.T) {
+	dir := t.TempDir()
+	d := start(t, io.Discard, "-listen", "127.0.0.1:0",
+		"-state", filepath.Join(dir, "state"), "-wal", filepath.Join(dir, "wal"),
+		"-policy-listen", freePort(t), "-admin-addr", "127.0.0.1:0",
+		"-dns", startDNS(t), "-spf", "-dnswl", "wl.example", "-rdns")
+	defer d.Close()
+	code, body := httpGet(t, d.AdminAddr(), "/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics answered %d", code)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(body, "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got.WriteString(fam + "\n")
+		}
+	}
+	golden := filepath.Join("testdata", "metrics_families.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("/metrics families differ from %s (rerun with -update if on purpose):\n got:\n%s\nwant:\n%s", golden, got.String(), want)
+	}
 }

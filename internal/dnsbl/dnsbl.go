@@ -21,6 +21,7 @@
 package dnsbl
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -174,9 +175,12 @@ func (l *List) Size() int {
 }
 
 // Lookup performs the standard client-side DNSBL check through a
-// resolver: listed == the reversed name resolves. The query name is
-// built append-style in one stack buffer; the only allocation left is
-// the name string the resolver API takes.
+// resolver: listed == the reversed name resolves. NXDOMAIN and NODATA
+// mean "not listed"; any other failure (a timeout, SERVFAIL, an
+// unreachable resolver) is returned, because it answers nothing about
+// the listing. The query name is built append-style in one stack
+// buffer; the only allocation left is the name string the resolver API
+// takes.
 func Lookup(res *dnsresolver.Resolver, origin, ip string) (bool, error) {
 	var buf [80]byte
 	name, err := AppendReverseIPv4(buf[:0], ip)
@@ -186,9 +190,11 @@ func Lookup(res *dnsresolver.Resolver, origin, ip string) (bool, error) {
 	name = append(name, '.')
 	name = append(name, dnsmsg.CanonicalName(origin)...)
 	addrs, err := res.LookupA(string(name))
-	if err != nil {
-		// NXDOMAIN (or NODATA) means "not listed".
+	switch {
+	case errors.Is(err, dnsresolver.ErrNXDomain), errors.Is(err, dnsresolver.ErrNoRecords):
 		return false, nil
+	case err != nil:
+		return false, err
 	}
 	return len(addrs) > 0, nil
 }

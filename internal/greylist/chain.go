@@ -69,14 +69,6 @@ type StageOutcome struct {
 	Domain string
 }
 
-// rekey returns the key domain when the outcome asks for re-keying.
-func (o StageOutcome) rekey() string {
-	if o.Action == StageRekey {
-		return o.Domain
-	}
-	return ""
-}
-
 // Stage is one step of the bypass chain. Implementations must be safe
 // for concurrent use and should answer from warmed caches without
 // allocating — Eval sits on the per-RCPT hot path ahead of the triplet

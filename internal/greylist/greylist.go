@@ -431,90 +431,31 @@ func (g *Greylister) Chain() *Chain { return g.chain.Load() }
 func (g *Greylister) Stats() Stats { return g.stats.snapshot() }
 
 // Check runs the greylisting decision procedure for one delivery attempt
-// and updates state accordingly.
+// and updates state accordingly: it is CheckBatch on a batch of one.
 //
 // The common serving-path cases — static whitelist, auto-whitelisted
 // client, already-passed triplet — complete without allocating and
-// without the exclusive lock. With metrics registered, the wall-clock
-// decision latency lands in the greylist_check_seconds histogram —
-// still allocation-free.
+// without the exclusive lock, and so does a check keyed by an SPF
+// domain. With metrics registered, the call lands in the
+// greylist_batch_seconds and greylist_batch_size histograms as a batch
+// of one — still allocation-free.
 func (g *Greylister) Check(t Triplet) Verdict { return g.CheckTraced(t, nil) }
 
-// CheckTraced is Check with the verdict recorded into tr — the
-// triplet, decision, reason, wait remaining and attempt count, plus
-// the deciding bypass stage if one fired — and, when metrics are
-// registered, the check latency observed with tr's ID as the histogram
-// bucket's exemplar (only for a trace that will be kept, see
-// trace.Trace.ExemplarID), so a slow bucket on /debug/traces links to
-// this very conversation. Both events are stamped with the decision's own
-// clock read and store the triplet unformatted, so a traced check
-// allocates nothing. A nil trace is exactly Check: the hot path is
-// untouched.
+// CheckTraced is Check with the verdict recorded into tr: the deciding
+// bypass stage if one fired, then the triplet, decision, reason, wait
+// remaining and attempt count. It runs CheckBatchTraced on a batch of
+// one held on the stack, so a traced check allocates nothing, and a nil
+// trace is exactly Check.
 func (g *Greylister) CheckTraced(t Triplet, tr *trace.Trace) Verdict {
-	ch := g.chain.Load()
-	out, idx := ch.eval(t, nil)
-	now := g.clock.Now()
-	var v Verdict
-	inst := g.inst.Load()
-	op := g.obsv.Load()
-	if inst != nil || op != nil {
-		start := time.Now()
-		v = g.decide(t, out, now)
-		elapsed := time.Since(start)
-		if inst != nil {
-			inst.checkSeconds.ObserveDurationExemplar(elapsed, tr.ExemplarID())
-		}
-		if op != nil {
-			(*op).ObserveVerdict(t, v, int64(elapsed))
-		}
-	} else {
-		v = g.decide(t, out, now)
-	}
-	if tr != nil {
-		if idx >= 0 {
-			tr.Bypass(now, ch.StageName(idx), out.Action.String())
-		}
-		traceVerdict(tr, now, t, v)
-	}
-	return v
+	ts := [1]Triplet{t}
+	var vs [1]Verdict
+	return g.CheckBatchTraced(ts[:], vs[:], tr)[0]
 }
 
 // traceVerdict records v's greylist event for t into tr, stamped at.
 func traceVerdict(tr *trace.Trace, at time.Time, t Triplet, v Verdict) {
 	tr.Greylist(at, v.Decision.String(), v.Reason.String(),
 		t.ClientIP, t.Sender, t.Recipient, v.WaitRemaining, v.Attempts)
-}
-
-// decide turns one chain-evaluated attempt into a verdict at now: a
-// bypass passes outright; otherwise the triplet check runs under the
-// client key the chain chose (the IP, or the SPF domain on a rekey).
-func (g *Greylister) decide(t Triplet, out StageOutcome, now time.Time) Verdict {
-	g.stats.checks.Add(1)
-
-	if out.Action == StageBypass {
-		g.countBypass(out.Reason)
-		return Verdict{Decision: Pass, Reason: out.Reason}
-	}
-	rekey := out.rekey()
-	if rekey != "" {
-		g.stats.spfRekeyed.Add(1)
-	}
-
-	var ckBuf, kBuf [keyBufCap]byte
-	clientKey := appendChainClientKey(ckBuf[:0], t.ClientIP, rekey, g.policy.SubnetKeying)
-	key := t.appendKey(kBuf[:0], clientKey)
-
-	g.mu.RLock()
-	v, ok := g.fastPath(clientKey, key, now)
-	g.mu.RUnlock()
-	if ok {
-		return v
-	}
-
-	g.mu.Lock()
-	v = g.checkSlow(clientKey, key, now)
-	g.mu.Unlock()
-	return v
 }
 
 // newTables returns empty tables indexed under g's seed and mask.
@@ -754,7 +695,8 @@ func (g *Greylister) checkSlow(clientKey, key []byte, now time.Time) Verdict {
 // run of consecutive attempts sharing (ClientIP, Sender); then a single
 // read-lock pass decides every fast-path attempt, and only the misses
 // take the exclusive lock, once, together. Every attempt is counted,
-// traced and attributed to its deciding stage as Check would.
+// traced and attributed to its deciding stage. Check is this on a batch
+// of one, so a lone attempt and a burst take the same path.
 //
 // The result slice is out when it has sufficient capacity (letting
 // callers reuse one slice across batches), a fresh allocation otherwise.
@@ -773,6 +715,11 @@ func (g *Greylister) CheckBatch(ts []Triplet, out []Verdict) []Verdict {
 // one greylist event per attempt, all stamped with the batch's single
 // clock read. A nil trace is exactly CheckBatch; a live one adds no
 // allocation.
+//
+// With metrics registered, each call is one observation of
+// greylist_batch_seconds (chain included) and of greylist_batch_size; an
+// observer receives every verdict with the call's elapsed time divided
+// by its size.
 func (g *Greylister) CheckBatchTraced(ts []Triplet, out []Verdict, tr *trace.Trace) []Verdict {
 	inst := g.inst.Load()
 	op := g.obsv.Load()
@@ -811,11 +758,13 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict, tr *trace.Trace) []
 	// Envelope-scoped stages run once per run of attempts sharing
 	// (ClientIP, Sender); the memo carries their answers along the run.
 	// Bypass verdicts complete here; out[i].Decision == 0 marks the
-	// attempts the store must decide. The rekey slice is only
-	// allocated when some stage actually rekeys, keeping the
-	// chain-negative batch allocation-free.
+	// attempts the store must decide. Rekey domains live in a stack
+	// array for batches of up to len(rekeyBuf) attempts, so a lone
+	// check and a pipelined burst keyed by an SPF domain allocate
+	// nothing; only a longer batch that rekeys allocates its slice.
 	ch := g.chain.Load()
 	var memo envelopeMemo
+	var rekeyBuf [16]string
 	var rekeys []string
 	for i, t := range ts {
 		if i > 0 && (t.ClientIP != ts[i-1].ClientIP || t.Sender != ts[i-1].Sender) {
@@ -832,7 +781,11 @@ func (g *Greylister) checkBatch(ts []Triplet, out []Verdict, tr *trace.Trace) []
 		case StageRekey:
 			g.stats.spfRekeyed.Add(1)
 			if rekeys == nil {
-				rekeys = make([]string, len(ts))
+				if len(ts) <= len(rekeyBuf) {
+					rekeys = rekeyBuf[:len(ts)]
+				} else {
+					rekeys = make([]string, len(ts))
+				}
 			}
 			rekeys[i] = o.Domain
 			out[i] = Verdict{}

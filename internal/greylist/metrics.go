@@ -8,7 +8,6 @@ import (
 // Register. The hot path reaches them through one atomic pointer load;
 // a nil pointer (no registry attached) costs exactly that load.
 type instruments struct {
-	checkSeconds *metrics.Histogram
 	batchSeconds *metrics.Histogram
 	batchSize    *metrics.Histogram
 	saveSeconds  *metrics.Histogram
@@ -17,8 +16,6 @@ type instruments struct {
 
 func newInstruments(reg *metrics.Registry) *instruments {
 	return &instruments{
-		checkSeconds: reg.Histogram("greylist_check_seconds",
-			"Wall-clock latency of one greylisting check.", nil),
 		batchSeconds: reg.Histogram("greylist_batch_seconds",
 			"Wall-clock latency of one CheckBatch call.", nil),
 		batchSize: reg.Histogram("greylist_batch_size",

@@ -32,7 +32,6 @@ var greylistMetricNames = []string{
 	"greylist_pending_triplets",
 	"greylist_passed_triplets",
 	"greylist_autowl_clients",
-	"greylist_check_seconds",
 	"greylist_batch_seconds",
 	"greylist_batch_size",
 	"greylist_snapshot_save_seconds",
@@ -85,9 +84,15 @@ func TestMirrorTracksVerdicts(t *testing.T) {
 		}
 	}
 
-	// The check-latency histogram observed every check, allocation-free.
-	if !strings.Contains(out, "greylist_check_seconds_count 4\n") {
-		t.Errorf("check latency histogram missed checks:\n%s", out)
+	// Each check is one engine call of one triplet: the call histograms
+	// observed every check, allocation-free.
+	for _, want := range []string{
+		"greylist_batch_seconds_count 4\n",
+		`greylist_batch_size_bucket{le="1"} 4` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("call histograms missed checks, want %q:\n%s", want, out)
+		}
 	}
 }
 

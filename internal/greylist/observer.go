@@ -8,10 +8,11 @@ package greylist
 // engine's latency budget (the bypass hot-path allocation tests pin
 // the observed paths at 0 allocs/op).
 //
-// latencyNs is the engine-side decision latency. Single checks carry
-// their own measurement; batch verdicts share the batch's elapsed time
-// divided by its size (the per-RCPT amortized cost, matching how the
-// batch path amortizes locking).
+// latencyNs is the engine-side decision latency: the elapsed time of
+// the CheckBatch call that decided the verdict, bypass chain included,
+// divided by the call's size (the per-RCPT amortized cost, matching how
+// the batch path amortizes locking). A Check is a call of one, so it
+// carries its own measurement.
 type Observer interface {
 	ObserveVerdict(t Triplet, v Verdict, latencyNs int64)
 }

@@ -114,31 +114,18 @@ type Histogram struct {
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	// Linear scan: bucket counts are small (≤ ~16) and the branch
-	// predictor does well on latency distributions; a binary search
-	// costs more in practice and neither allocates.
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i].Add(1)
-			h.count.Add(1)
-			h.sum.add(v)
-			return
-		}
-	}
-	h.buckets[len(h.bounds)].Add(1) // +Inf bucket
-	h.count.Add(1)
-	h.sum.add(v)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, 0) }
 
 // ObserveDuration records d in seconds (the Prometheus base unit).
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // ObserveExemplar records one observation and, when traceID is
-// nonzero, remembers it as the bucket's exemplar. Same lock-free
-// cost profile as Observe plus one atomic store; plain Observe is
-// untouched so untraced hot paths pay nothing for the feature.
+// nonzero, remembers it as the bucket's exemplar: one more atomic
+// store than an observation without one.
 func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
+	// Linear scan: bucket counts are small (≤ ~16) and the branch
+	// predictor does well on latency distributions; a binary search
+	// costs more in practice and neither allocates.
 	i := 0
 	for ; i < len(h.bounds); i++ {
 		if v <= h.bounds[i] {

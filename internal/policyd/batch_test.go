@@ -3,12 +3,14 @@ package policyd
 import (
 	"bufio"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/greylist"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 func TestBufferedRequest(t *testing.T) {
@@ -74,6 +76,40 @@ func TestDecideBatchMatchesDecide(t *testing.T) {
 	got2 := batch.DecideBatch(reqs[:2], got)
 	if &got2[0] != &got[0] {
 		t.Error("DecideBatch did not reuse the out slice")
+	}
+}
+
+// TestDecideBatchIgnoresTracer: a tracer changes no verdict. With the
+// auto-whitelist after two deliveries and a client that has made one, a
+// pipelined [fresh, known] pair is answered as if each request came
+// alone: the fresh triplet is deferred, and the known one's delivery
+// credit whitelists the client only after it.
+func TestDecideBatchIgnoresTracer(t *testing.T) {
+	run := func(tracer *trace.Tracer) []string {
+		clock := simtime.NewSim(simtime.Epoch)
+		p := greylist.DefaultPolicy()
+		p.AutoWhitelistAfter = 2
+		s := New(greylist.New(p, clock))
+		s.SetTracer(tracer)
+		known := rcptRequest("203.0.113.9", "a@b.example", "u@foo.net")
+		s.DecideBatch([]Request{known}, nil)
+		clock.Advance(p.Threshold + time.Second)
+		if r := s.DecideBatch([]Request{known}, nil); r[0].Action != "DUNNO" {
+			t.Fatalf("retry = %q, want DUNNO", r[0].Action)
+		}
+		fresh := rcptRequest("203.0.113.9", "a@b.example", "v@foo.net")
+		var actions []string
+		for _, r := range s.DecideBatch([]Request{fresh, known}, nil) {
+			actions = append(actions, r.Action)
+		}
+		return actions
+	}
+	untraced, traced := run(nil), run(trace.New(16))
+	if !slices.Equal(untraced, traced) {
+		t.Fatalf("untraced %q, traced %q", untraced, traced)
+	}
+	if !strings.HasPrefix(untraced[0], "DEFER_IF_PERMIT ") || untraced[1] != "DUNNO" {
+		t.Fatalf("actions %q, want a deferral, then DUNNO", untraced)
 	}
 }
 

@@ -291,7 +291,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// An MTA under load writes requests back-to-back without waiting
 		// for each answer; drain every complete request already buffered
-		// and decide them as one batch, amortizing the engine's locks.
+		// and answer them all with one flush.
 		reqs = append(reqs[:0], req)
 		for len(reqs) < maxRequestBatch && bufferedRequest(br) {
 			next, err := ParseRequest(br)
@@ -332,7 +332,7 @@ func isTimeout(err error) bool {
 }
 
 // maxRequestBatch bounds how many buffered policy requests are decided
-// per batch, so one slow engine pass can't starve the reply stream.
+// per flush, so a long backlog can't starve the reply stream.
 const maxRequestBatch = 64
 
 // bufferedRequest reports whether br already holds at least one complete
@@ -391,9 +391,9 @@ func (s *Server) decide(req Request, tr *trace.Trace) Response {
 
 // SetTracer installs (or, with nil, removes) a transaction tracer.
 // While set, every policy request becomes one finished trace — the
-// parsed attributes, the greylist verdict and the wire action — and
-// batch decisions fall back to per-request checks so each request's
-// verdict is attributable. Safe to call concurrently with Serve.
+// parsed attributes, the greylist verdict and the wire action. Tracing
+// changes no verdict: requests are decided one at a time either way.
+// Safe to call concurrently with Serve.
 func (s *Server) SetTracer(t *trace.Tracer) {
 	if t == nil {
 		s.tracer.Store(nil)
@@ -402,9 +402,9 @@ func (s *Server) SetTracer(t *trace.Tracer) {
 	s.tracer.Store(t)
 }
 
-// decideOneTraced runs one request under a fresh trace and finishes it
-// with the wire action's outcome.
-func (s *Server) decideOneTraced(t *trace.Tracer, req Request) Response {
+// decideTraced decides one request under a fresh trace from t,
+// finished with the wire action's outcome; a nil t traces nothing.
+func (s *Server) decideTraced(t *trace.Tracer, req Request) Response {
 	tr := t.StartSession(trace.Tags{Defense: "policyd"}, req.ClientAddress(), nil)
 	resp := s.decide(req, tr)
 	action, _, _ := strings.Cut(resp.Action, " ")
@@ -424,9 +424,9 @@ func policyOutcome(action string) string {
 }
 
 // DecideBatch maps a run of policy requests to actions, answering
-// positionally. The greylistable requests share one CheckBatch call;
-// semantics match calling Decide on each request in order. The result
-// reuses out when it has capacity.
+// positionally: it decides each request in order, so its semantics match
+// calling Decide on each request in order, with or without a tracer.
+// The result reuses out when it has capacity.
 func (s *Server) DecideBatch(reqs []Request, out []Response) []Response {
 	if inst := s.inst.Load(); inst != nil {
 		inst.batchSize.Observe(float64(len(reqs)))
@@ -438,41 +438,9 @@ func (s *Server) DecideBatch(reqs []Request, out []Response) []Response {
 	} else {
 		out = out[:len(reqs)]
 	}
-	if t := s.tracer.Load(); t != nil {
-		// Tracing mode: one trace per request, so each verdict is
-		// individually attributable. Forgoes the amortized batch check.
-		for i, req := range reqs {
-			out[i] = s.decideOneTraced(t, req)
-		}
-		return out
-	}
-	if len(reqs) == 1 {
-		for i, req := range reqs {
-			out[i] = s.Decide(req)
-		}
-		return out
-	}
-	var (
-		ts  []greylist.Triplet
-		pos []int
-	)
+	t := s.tracer.Load()
 	for i, req := range reqs {
-		if st := req.ProtocolState(); st != "" && st != "RCPT" {
-			out[i] = s.dunno()
-			continue
-		}
-		if req.ClientAddress() == "" || req.Recipient() == "" {
-			out[i] = s.dunno()
-			continue
-		}
-		ts = append(ts, triplet(req))
-		pos = append(pos, i)
-	}
-	if len(ts) == 0 {
-		return out
-	}
-	for j, v := range s.checker.CheckBatch(ts, nil) {
-		out[pos[j]] = s.actionFor(v)
+		out[i] = s.decideTraced(t, req)
 	}
 	return out
 }

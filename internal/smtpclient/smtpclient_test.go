@@ -288,10 +288,11 @@ func TestHelloFallsBackToHelo(t *testing.T) {
 		br := bufio.NewReader(conn)
 		conn.Write([]byte("220 old.server ready\r\n"))
 		for {
-			line, err := smtpproto.ReadCommandLine(br)
+			raw, err := smtpproto.ReadCommandLineAppend(br, nil)
 			if err != nil {
 				return
 			}
+			line := string(raw)
 			switch {
 			case strings.HasPrefix(line, "EHLO"):
 				conn.Write([]byte("500 5.5.2 EHLO not understood\r\n"))
@@ -378,10 +379,11 @@ func TestNetDialerRealTCP(t *testing.T) {
 		conn.Write([]byte("220 real.tcp.test ready\r\n"))
 		br := bufio.NewReader(conn)
 		for {
-			line, err := smtpproto.ReadCommandLine(br)
+			raw, err := smtpproto.ReadCommandLineAppend(br, nil)
 			if err != nil {
 				return
 			}
+			line := string(raw)
 			switch {
 			case strings.HasPrefix(line, "HELO"):
 				conn.Write([]byte("250 hi\r\n"))

@@ -3,34 +3,89 @@ package smtpproto
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzParseReply: the reply parser must never panic and must only accept
-// replies whose re-rendering it would parse identically.
-func FuzzParseReply(f *testing.F) {
-	f.Add("250 OK\r\n")
-	f.Add("451 4.7.1 Greylisted\r\n")
-	f.Add("250-a\r\n250-b\r\n250 c\r\n")
-	f.Add("xyz\r\n")
-	f.Add("")
+// FuzzParseReplyBuf: on any byte stream, the buffer-reusing reply
+// parser returns the same replies and error texts, in the same order,
+// as refParseReply, and an accepted reply round-trips through AppendTo.
+// The 16-byte reader buffer makes short lines take the buffer-full
+// path; the 4096-byte one is bufio's default.
+func FuzzParseReplyBuf(f *testing.F) {
+	f.Add([]byte("250 OK\r\n"))
+	f.Add([]byte("451 4.7.1 Greylisted\r\n"))
+	f.Add([]byte("250-a\r\n250-b\r\n250 c\r\n"))
+	f.Add([]byte("xyz\r\n"))
+	f.Add([]byte(""))
+	f.Add([]byte("250-first\r\n2.0.0\n250 2.0.0 second  \r\n221\r\n"))
+	f.Add([]byte("250-first\r\n500 second\r\n250~sep\r\n451 2.0.0 odd\r\n"))
 
-	f.Fuzz(func(t *testing.T, input string) {
-		r, err := ParseReply(bufio.NewReader(strings.NewReader(input)))
-		if err != nil {
-			return
-		}
-		r2, err := ParseReply(bufio.NewReader(strings.NewReader(r.String())))
-		if err != nil {
-			t.Fatalf("re-parse of %q failed: %v", r.String(), err)
-		}
-		if r2.Code != r.Code || r2.Enhanced != r.Enhanced {
-			t.Fatalf("unstable: %+v vs %+v", r, r2)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		for _, size := range []int{16, 4096} {
+			ref := bufio.NewReaderSize(bytes.NewReader(stream), size)
+			br := bufio.NewReaderSize(bytes.NewReader(stream), size)
+			var buf []byte
+			for n := 1; ; n++ {
+				want, werr := refParseReply(ref)
+				got, next, gerr := ParseReplyBuf(br, buf)
+				buf = next
+				if got.Code != want.Code || got.Enhanced != want.Enhanced || !slices.Equal(got.Lines, want.Lines) ||
+					errText(gerr) != errText(werr) {
+					t.Fatalf("buffer %d, reply %d: ParseReplyBuf = %+v, %v; reference = %+v, %v",
+						size, n, got, gerr, want, werr)
+				}
+				if werr == nil {
+					roundTrip(t, got)
+					continue
+				}
+				if !errors.Is(werr, ErrBadSyntax) && werr != ErrLineTooLong {
+					break // the stream ended or failed
+				}
+			}
 		}
 	})
+}
+
+// roundTrip checks that r's wire form parses back to r's code and
+// enhanced code, and renders to the same bytes again. Rendering puts
+// the enhanced code on every line, which can push a line that lacked it
+// past MaxTextLine; such a reply is not re-read.
+func roundTrip(t *testing.T, r Reply) {
+	t.Helper()
+	wire := r.AppendTo(nil)
+	again, _, err := ParseReplyBuf(bufio.NewReader(bytes.NewReader(wire)), nil)
+	if err == ErrLineTooLong {
+		return
+	}
+	if err != nil || again.Code != r.Code || again.Enhanced != r.Enhanced || string(again.AppendTo(nil)) != string(wire) {
+		t.Fatalf("%+v renders as %q, which parses as %+v, %v", r, wire, again, err)
+	}
+}
+
+// refParseReply is the reply parser as it was before its lines were read
+// into a reusable buffer: the reference FuzzParseReplyBuf holds
+// ParseReplyBuf to.
+func refParseReply(br *bufio.Reader) (Reply, error) {
+	var reply Reply
+	for {
+		line, err := refReadLine(br, MaxTextLine)
+		if err != nil {
+			return Reply{}, err
+		}
+		rest, more, err := parseReplyLine(&reply, line)
+		if err != nil {
+			return Reply{}, err
+		}
+		reply.Lines = append(reply.Lines, rest)
+		if !more {
+			return reply, nil
+		}
+	}
 }
 
 // FuzzParseMailArg: on every input, ParseMailArg and ParseRcptArg
@@ -161,8 +216,28 @@ func refParseMailbox(mbox string) (string, error) {
 	return mbox, nil
 }
 
+// refParseCommand is the string command parser the server's byte parser
+// replaced: the reference FuzzParseCommandBytes holds it to.
+func refParseCommand(line string) (Command, error) {
+	line = strings.TrimRight(line, " ")
+	if line == "" {
+		return Command{}, fmt.Errorf("%w: empty command", ErrBadSyntax)
+	}
+	verb := line
+	arg := ""
+	if i := strings.IndexByte(line, ' '); i >= 0 {
+		verb, arg = line[:i], strings.TrimSpace(line[i+1:])
+	}
+	for _, r := range verb {
+		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
+			return Command{}, fmt.Errorf("%w: verb %q", ErrBadSyntax, verb)
+		}
+	}
+	return Command{Verb: strings.ToUpper(verb), Arg: arg}, nil
+}
+
 // FuzzParseCommandBytes: the server's byte parser returns the same
-// Command and the same error text as ParseCommand on every line.
+// Command and the same error text as refParseCommand on every line.
 func FuzzParseCommandBytes(f *testing.F) {
 	f.Add([]byte("MAIL FROM:<a@b.example> SIZE=100"))
 	f.Add([]byte("rcpt to:<u@foo.net>   "))
@@ -177,16 +252,75 @@ func FuzzParseCommandBytes(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		got, gerr := ParseCommandBytes(line)
-		want, werr := ParseCommand(string(line))
+		want, werr := refParseCommand(string(line))
 		if got != want || errText(gerr) != errText(werr) {
-			t.Fatalf("%q: ParseCommandBytes = %+v, %v; ParseCommand = %+v, %v", line, got, gerr, want, werr)
+			t.Fatalf("%q: ParseCommandBytes = %+v, %v; reference = %+v, %v", line, got, gerr, want, werr)
 		}
 	})
 }
 
+// refReadCommandLine and refReadLine are the byte-at-a-time line reader
+// the buffer-reusing one replaced: the reference FuzzReadCommandLineAppend
+// holds it to.
+func refReadCommandLine(br *bufio.Reader) (string, error) {
+	return refReadLine(br, MaxCommandLine)
+}
+
+func refReadLine(br *bufio.Reader, limit int) (string, error) {
+	var sb strings.Builder
+	for {
+		b, err := br.ReadByte()
+		if err != nil {
+			return "", err
+		}
+		if b == '\n' {
+			return strings.TrimSuffix(sb.String(), "\r"), nil
+		}
+		if sb.Len() >= limit {
+			// Drain the rest of the oversized line before reporting,
+			// so the session can resynchronize.
+			for {
+				b, err := br.ReadByte()
+				if err != nil || b == '\n' {
+					break
+				}
+			}
+			return "", ErrLineTooLong
+		}
+		sb.WriteByte(b)
+	}
+}
+
+// refReplyString is the fmt-based reply renderer AppendTo replaced: the
+// reference TestAppendToMatchesString holds it to.
+func refReplyString(r Reply) string {
+	lines := r.Lines
+	if len(lines) == 0 {
+		lines = []string{""}
+	}
+	var sb strings.Builder
+	for i, line := range lines {
+		sep := " "
+		if i < len(lines)-1 {
+			sep = "-"
+		}
+		text := line
+		if r.Enhanced != "" {
+			text = r.Enhanced + " " + line
+		}
+		text = strings.TrimRight(text, " ")
+		if text == "" && sep == " " {
+			fmt.Fprintf(&sb, "%03d\r\n", r.Code)
+			continue
+		}
+		fmt.Fprintf(&sb, "%03d%s%s\r\n", r.Code, sep, text)
+	}
+	return sb.String()
+}
+
 // FuzzReadCommandLineAppend: on any byte stream, the server's
 // buffer-reusing line reader returns the same lines and errors, in the
-// same order, as ReadCommandLine. The 16-byte reader buffer makes short
+// same order, as refReadCommandLine. The 16-byte reader buffer makes short
 // lines take the buffer-full path; the 4096-byte one is bufio's default.
 func FuzzReadCommandLineAppend(f *testing.F) {
 	long := strings.Repeat("x", MaxCommandLine)
@@ -204,11 +338,11 @@ func FuzzReadCommandLineAppend(f *testing.F) {
 			br := bufio.NewReaderSize(bytes.NewReader(stream), size)
 			var buf []byte
 			for n := 1; ; n++ {
-				want, werr := ReadCommandLine(ref)
+				want, werr := refReadCommandLine(ref)
 				got, gerr := ReadCommandLineAppend(br, buf)
 				buf = got[:0]
 				if string(got) != want || gerr != werr {
-					t.Fatalf("buffer %d, line %d: ReadCommandLineAppend = %q, %v; ReadCommandLine = %q, %v",
+					t.Fatalf("buffer %d, line %d: ReadCommandLineAppend = %q, %v; reference = %q, %v",
 						size, n, got, gerr, want, werr)
 				}
 				if werr != nil && werr != ErrLineTooLong {

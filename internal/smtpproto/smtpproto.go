@@ -68,64 +68,6 @@ func (c Command) String() string {
 	return c.Verb + " " + c.Arg
 }
 
-// ParseCommand parses one SMTP command line (without CRLF).
-func ParseCommand(line string) (Command, error) {
-	line = strings.TrimRight(line, " ")
-	if line == "" {
-		return Command{}, fmt.Errorf("%w: empty command", ErrBadSyntax)
-	}
-	verb := line
-	arg := ""
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		verb, arg = line[:i], strings.TrimSpace(line[i+1:])
-	}
-	for _, r := range verb {
-		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
-			return Command{}, fmt.Errorf("%w: verb %q", ErrBadSyntax, verb)
-		}
-	}
-	return Command{Verb: strings.ToUpper(verb), Arg: arg}, nil
-}
-
-// ReadCommandLine reads one CRLF-terminated command line from br, enforcing
-// MaxCommandLine. Bare LF is tolerated (robustness principle), since real
-// bots are sloppy about line endings — one of the SMTP "dialect" signals
-// from Stringhini et al. the paper builds on.
-func ReadCommandLine(br *bufio.Reader) (string, error) {
-	line, err := readLine(br, MaxCommandLine)
-	if err != nil {
-		return "", err
-	}
-	return line, nil
-}
-
-func readLine(br *bufio.Reader, limit int) (string, error) {
-	var sb strings.Builder
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return "", err
-		}
-		if b == '\n' {
-			s := sb.String()
-			s = strings.TrimSuffix(s, "\r")
-			return s, nil
-		}
-		if sb.Len() >= limit {
-			// Drain the rest of the oversized line before reporting,
-			// so the session can resynchronize.
-			for {
-				b, err := br.ReadByte()
-				if err != nil || b == '\n' {
-					break
-				}
-			}
-			return "", ErrLineTooLong
-		}
-		sb.WriteByte(b)
-	}
-}
-
 // Reply is an SMTP reply: a three-digit code, an optional RFC 2034
 // enhanced status code, and one or more text lines.
 type Reply struct {
@@ -152,60 +94,13 @@ func (r Reply) Transient() bool { return r.Code >= 400 && r.Code < 500 }
 // Permanent reports a 5xx code.
 func (r Reply) Permanent() bool { return r.Code >= 500 && r.Code < 600 }
 
-// String renders the reply in wire format (with CRLFs).
-func (r Reply) String() string {
-	lines := r.Lines
-	if len(lines) == 0 {
-		lines = []string{""}
-	}
-	var sb strings.Builder
-	for i, line := range lines {
-		sep := " "
-		if i < len(lines)-1 {
-			sep = "-"
-		}
-		text := line
-		if r.Enhanced != "" {
-			text = r.Enhanced + " " + line
-		}
-		text = strings.TrimRight(text, " ")
-		if text == "" && sep == " " {
-			fmt.Fprintf(&sb, "%03d\r\n", r.Code)
-			continue
-		}
-		fmt.Fprintf(&sb, "%03d%s%s\r\n", r.Code, sep, text)
-	}
-	return sb.String()
-}
-
-// WriteTo writes the wire form of the reply to w.
-func (r Reply) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, r.String())
-	return int64(n), err
-}
-
-// ParseReply parses a complete (possibly multi-line) reply from br.
-func ParseReply(br *bufio.Reader) (Reply, error) {
-	var reply Reply
-	for {
-		line, err := readLine(br, MaxTextLine)
-		if err != nil {
-			return Reply{}, err
-		}
-		rest, more, err := parseReplyLine(&reply, line)
-		if err != nil {
-			return Reply{}, err
-		}
-		reply.Lines = append(reply.Lines, rest)
-		if !more {
-			return reply, nil
-		}
-	}
-}
+// String renders the reply in wire format (with CRLFs), as AppendTo
+// does.
+func (r Reply) String() string { return string(r.AppendTo(nil)) }
 
 // parseReplyLine folds one raw reply line into reply (code consistency,
 // separator, enhanced status code), returning the text remainder and
-// whether more lines follow. Shared by ParseReply and ParseReplyBuf.
+// whether more lines follow.
 func parseReplyLine(reply *Reply, line string) (rest string, more bool, err error) {
 	if len(line) < 3 {
 		return "", false, fmt.Errorf("%w: short reply line %q", ErrBadSyntax, line)

@@ -28,19 +28,19 @@ func TestParseCommand(t *testing.T) {
 		{"M@IL FROM:<x>", "", "", true},
 	}
 	for _, tc := range cases {
-		got, err := ParseCommand(tc.in)
+		got, err := ParseCommandBytes([]byte(tc.in))
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("ParseCommand(%q) succeeded, want error", tc.in)
+				t.Errorf("ParseCommandBytes(%q) succeeded, want error", tc.in)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("ParseCommand(%q): %v", tc.in, err)
+			t.Errorf("ParseCommandBytes(%q): %v", tc.in, err)
 			continue
 		}
 		if got.Verb != tc.verb || got.Arg != tc.arg {
-			t.Errorf("ParseCommand(%q) = %+v, want verb=%q arg=%q", tc.in, got, tc.verb, tc.arg)
+			t.Errorf("ParseCommandBytes(%q) = %+v, want verb=%q arg=%q", tc.in, got, tc.verb, tc.arg)
 		}
 	}
 }
@@ -57,15 +57,15 @@ func TestCommandString(t *testing.T) {
 func TestReadCommandLine(t *testing.T) {
 	br := bufio.NewReader(strings.NewReader("HELO a\r\nEHLO b\nQUIT\r\n"))
 	for i, want := range []string{"HELO a", "EHLO b", "QUIT"} {
-		got, err := ReadCommandLine(br)
+		got, err := ReadCommandLineAppend(br, nil)
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if got != want {
+		if string(got) != want {
 			t.Fatalf("line %d = %q, want %q", i, got, want)
 		}
 	}
-	if _, err := ReadCommandLine(br); !errors.Is(err, io.EOF) {
+	if _, err := ReadCommandLineAppend(br, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("EOF expected, got %v", err)
 	}
 }
@@ -73,13 +73,13 @@ func TestReadCommandLine(t *testing.T) {
 func TestReadCommandLineTooLongResyncs(t *testing.T) {
 	long := strings.Repeat("X", 2*MaxCommandLine)
 	br := bufio.NewReader(strings.NewReader(long + "\r\nQUIT\r\n"))
-	if _, err := ReadCommandLine(br); !errors.Is(err, ErrLineTooLong) {
+	if _, err := ReadCommandLineAppend(br, nil); !errors.Is(err, ErrLineTooLong) {
 		t.Fatalf("err = %v, want ErrLineTooLong", err)
 	}
 	// The reader must have consumed the oversized line so the next read
 	// sees the following command.
-	got, err := ReadCommandLine(br)
-	if err != nil || got != "QUIT" {
+	got, err := ReadCommandLineAppend(br, nil)
+	if err != nil || string(got) != "QUIT" {
 		t.Fatalf("after oversized line: %q, %v", got, err)
 	}
 }
@@ -119,7 +119,8 @@ func TestReplyClassPredicates(t *testing.T) {
 
 func parseReplyString(t *testing.T, s string) (Reply, error) {
 	t.Helper()
-	return ParseReply(bufio.NewReader(strings.NewReader(s)))
+	r, _, err := ParseReplyBuf(bufio.NewReader(strings.NewReader(s)), nil)
+	return r, err
 }
 
 func TestParseReplySingleLine(t *testing.T) {
@@ -171,7 +172,7 @@ func TestParseReplyErrors(t *testing.T) {
 		"250~sep\r\n",
 	} {
 		if _, err := parseReplyString(t, in); err == nil {
-			t.Errorf("ParseReply(%q) succeeded", in)
+			t.Errorf("ParseReplyBuf(%q) succeeded", in)
 		}
 	}
 }
@@ -186,7 +187,7 @@ func TestReplyRoundTrip(t *testing.T) {
 	for _, want := range replies {
 		got, err := parseReplyString(t, want.String())
 		if err != nil {
-			t.Fatalf("ParseReply(%q): %v", want.String(), err)
+			t.Fatalf("ParseReplyBuf(%q): %v", want.String(), err)
 		}
 		if got.Code != want.Code || got.Enhanced != want.Enhanced || len(got.Lines) != len(want.Lines) {
 			t.Fatalf("round trip %q -> %+v", want.String(), got)
@@ -303,8 +304,8 @@ func TestDotReaderBasic(t *testing.T) {
 		t.Fatalf("data = %q", data)
 	}
 	// The terminator must be consumed, leaving the next command.
-	rest, _ := ReadCommandLine(br)
-	if rest != "NEXT COMMAND" {
+	rest, _ := ReadCommandLineAppend(br, nil)
+	if string(rest) != "NEXT COMMAND" {
 		t.Fatalf("rest = %q", rest)
 	}
 }
@@ -334,8 +335,8 @@ func TestDotReaderSizeLimit(t *testing.T) {
 		t.Fatal("TooBig() = false")
 	}
 	// Oversized payloads are still drained to the terminator.
-	rest, _ := ReadCommandLine(br)
-	if rest != "QUIT" {
+	rest, _ := ReadCommandLineAppend(br, nil)
+	if string(rest) != "QUIT" {
 		t.Fatalf("rest = %q", rest)
 	}
 }

@@ -1,23 +1,25 @@
 package smtpproto
 
 // Zero-allocation wire helpers. The server's verb loop and the client's
-// command loop run once per SMTP command: every reply used to be
-// rendered through Reply.String (a strings.Builder and several fmt
-// calls per reply) and every command line read through a per-line
-// strings.Builder. The helpers here append into caller-owned
-// buffers instead, so a pooled session can serve an entire SMTP
-// conversation without per-verb garbage. Byte-identity with the
-// string-based paths is pinned by TestAppendToMatchesString and
-// TestReadCommandLineAppendMatches.
+// command loop run once per SMTP command, so the reply renderer, the
+// line reader and the command and reply parsers append into
+// caller-owned buffers: a pooled session can serve an entire SMTP
+// conversation without per-verb garbage. Each is pinned to a plain
+// string-based reference kept in the tests (TestAppendToMatchesString
+// and the differential fuzz targets in fuzz_test.go).
 
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 )
 
 // AppendTo appends the wire form of the reply (with CRLFs) to buf and
-// returns the extended buffer. The output is byte-identical to String.
+// returns the extended buffer: one line per element of Lines (one empty
+// line when there are none), each the code, "-" before a continuation
+// or " " on the last line, the enhanced code when set, then the text,
+// trailing spaces trimmed. An empty last line renders as the bare code.
 func (r Reply) AppendTo(buf []byte) []byte {
 	lines := r.Lines
 	if len(lines) == 0 {
@@ -31,7 +33,7 @@ func (r Reply) AppendTo(buf []byte) []byte {
 }
 
 // appendLine renders one reply line: code, separator, optional enhanced
-// status code, text, with String's trailing-space trimming semantics.
+// status code, text, trailing spaces trimmed.
 func (r Reply) appendLine(buf []byte, line string, last bool) []byte {
 	buf = appendCode(buf, r.Code)
 	sep := byte('-')
@@ -60,18 +62,23 @@ func appendCode(buf []byte, code int) []byte {
 }
 
 // ReadCommandLineAppend reads one CRLF-terminated command line into
-// buf[:0] (bare LF tolerated, CR stripped), enforcing MaxCommandLine
-// exactly like ReadCommandLine. The returned slice aliases buf's
-// backing array and is valid until the next call with the same buffer;
-// callers reuse one buffer per session, so the steady state reads
-// commands with zero allocations.
+// buf[:0], enforcing MaxCommandLine. Bare LF is tolerated (robustness
+// principle), since real bots are sloppy about line endings — one of
+// the SMTP "dialect" signals from Stringhini et al. the paper builds
+// on — and one CR before the LF is stripped. The returned slice aliases
+// buf's backing array and is valid until the next call with the same
+// buffer; callers reuse one buffer per session, so the steady state
+// reads commands with zero allocations.
 func ReadCommandLineAppend(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return readLineAppend(br, buf, MaxCommandLine)
 }
 
-// readLineAppend is readLine appending into a reusable buffer, using
-// ReadSlice so the common short-line case is one memchr instead of a
-// byte-at-a-time loop.
+// readLineAppend reads one line into buf[:0], without its LF and one CR
+// before it, using ReadSlice so the common short-line case is one
+// memchr instead of a byte-at-a-time loop. A line of more than limit
+// bytes before its LF is drained through the LF, so the session can
+// resynchronize, and refused with ErrLineTooLong; so is one the stream
+// cuts off past the limit.
 func readLineAppend(br *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 	buf = buf[:0]
 	for {
@@ -82,8 +89,6 @@ func readLineAppend(br *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 		}
 		if err == bufio.ErrBufferFull {
 			if len(buf) > limit {
-				// Drain the rest of the oversized line so the session
-				// can resynchronize, as readLine does.
 				for {
 					b, err := br.ReadByte()
 					if err != nil || b == '\n' {
@@ -95,8 +100,6 @@ func readLineAppend(br *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 			continue
 		}
 		if len(buf) > limit {
-			// readLine has already refused the line by the time the
-			// stream ends or fails.
 			return buf[:0], ErrLineTooLong
 		}
 		return buf[:0], err
@@ -145,9 +148,10 @@ func internVerb(raw []byte) string {
 	return ""
 }
 
-// ParseCommandBytes parses one SMTP command line, semantically identical
-// to ParseCommand(string(line)) but allocating only for the argument
-// (and for verbs outside the standard repertoire).
+// ParseCommandBytes parses one SMTP command line (without CRLF): an
+// alphabetic verb, upper-cased, and the trimmed text after the first
+// space as its argument. It allocates only for the argument (and for
+// verbs outside the standard repertoire).
 func ParseCommandBytes(line []byte) (Command, error) {
 	line = bytes.TrimRight(line, " ")
 	if len(line) == 0 {
@@ -160,8 +164,7 @@ func ParseCommandBytes(line []byte) (Command, error) {
 	}
 	for _, c := range verb {
 		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
-			// Rare path: fall back for the identical error text.
-			return ParseCommand(string(line))
+			return Command{}, fmt.Errorf("%w: verb %q", ErrBadSyntax, verb)
 		}
 	}
 	v := internVerb(verb)
@@ -174,17 +177,14 @@ func ParseCommandBytes(line []byte) (Command, error) {
 	return Command{Verb: v, Arg: string(arg)}, nil
 }
 
-// errEmptyCommand mirrors ParseCommand's empty-line error without
-// reformatting it per call.
-var errEmptyCommand = func() error {
-	_, err := ParseCommand("")
-	return err
-}()
+// errEmptyCommand refuses an empty (or all-space) command line.
+var errEmptyCommand = fmt.Errorf("%w: empty command", ErrBadSyntax)
 
-// ParseReplyBuf is ParseReply reading its lines through a reusable
-// buffer: buf carries the line scratch across calls (pass the previous
-// return value back in), so a client session's reply loop stops paying
-// a strings.Builder per line. The returned Reply still owns its Lines.
+// ParseReplyBuf parses a complete (possibly multi-line) reply from br,
+// reading its lines through a reusable buffer: buf carries the line
+// scratch across calls (pass the previous return value back in), so a
+// client session's reply loop allocates no line buffer. Lines are
+// limited to MaxTextLine. The returned Reply owns its Lines.
 func ParseReplyBuf(br *bufio.Reader, buf []byte) (Reply, []byte, error) {
 	var reply Reply
 	for {

@@ -26,7 +26,7 @@ var appendToCases = []Reply{
 
 func TestAppendToMatchesString(t *testing.T) {
 	for _, r := range appendToCases {
-		want := r.String()
+		want := refReplyString(r)
 		got := string(r.AppendTo(nil))
 		if got != want {
 			t.Errorf("AppendTo mismatch for %+v:\n got %q\nwant %q", r, got, want)
@@ -35,6 +35,9 @@ func TestAppendToMatchesString(t *testing.T) {
 		buf := []byte("prefix")
 		if got := string(r.AppendTo(buf)); got != "prefix"+want {
 			t.Errorf("AppendTo with prefix: got %q", got)
+		}
+		if got := r.String(); got != want {
+			t.Errorf("String mismatch for %+v:\n got %q\nwant %q", r, got, want)
 		}
 	}
 }
@@ -63,7 +66,7 @@ func TestReadCommandLineAppendMatches(t *testing.T) {
 		b := bufio.NewReader(strings.NewReader(in))
 		var buf []byte
 		for {
-			s1, err1 := ReadCommandLine(a)
+			s1, err1 := refReadCommandLine(a)
 			s2, err2 := ReadCommandLineAppend(b, buf)
 			buf = s2[:0]
 			if (err1 == nil) != (err2 == nil) || !errors.Is(err2, err1) && err1 != nil && !errors.Is(err1, ErrLineTooLong) {
@@ -102,7 +105,7 @@ func TestParseCommandBytesMatches(t *testing.T) {
 		"   ",
 	}
 	for _, line := range lines {
-		c1, err1 := ParseCommand(line)
+		c1, err1 := refParseCommand(line)
 		c2, err2 := ParseCommandBytes([]byte(line))
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%q: err mismatch %v vs %v", line, err1, err2)
@@ -145,7 +148,7 @@ func TestParseReplyBufMatches(t *testing.T) {
 	b := bufio.NewReader(strings.NewReader(wire))
 	var buf []byte
 	for i := 0; i < 5; i++ {
-		r1, err1 := ParseReply(a)
+		r1, err1 := refParseReply(a)
 		var r2 Reply
 		var err2 error
 		r2, buf, err2 = ParseReplyBuf(b, buf)

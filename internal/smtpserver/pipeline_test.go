@@ -68,7 +68,7 @@ func TestPipelinedRcptBatchDrain(t *testing.T) {
 	br := bufio.NewReader(out)
 	wantCodes := []int{250, 451, 250}
 	for i, w := range wantCodes {
-		r, err := smtpproto.ParseReply(br)
+		r, err := readReply(br)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
@@ -86,7 +86,7 @@ func TestPipelinedRcptBatchDrain(t *testing.T) {
 	if st := sess.srv.Stats(); st.RecipientsDeferred != 1 {
 		t.Fatalf("deferred = %d", st.RecipientsDeferred)
 	}
-	if line, _ := smtpproto.ReadCommandLine(sess.br); line != "DATA" {
+	if line, _ := smtpproto.ReadCommandLineAppend(sess.br, nil); string(line) != "DATA" {
 		t.Fatalf("next line = %q, want DATA", line)
 	}
 	if got := strings.Join(sess.trace.Verbs, " "); got != "RCPT RCPT" {
@@ -118,7 +118,7 @@ func TestPipelinedRcptFallsBackOnBadSyntax(t *testing.T) {
 	br := bufio.NewReader(out)
 	wantCodes := []int{250, 501}
 	for i, w := range wantCodes {
-		r, err := smtpproto.ParseReply(br)
+		r, err := readReply(br)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
@@ -146,7 +146,7 @@ func TestLoneRcptUsesBatchHook(t *testing.T) {
 	if called != 1 {
 		t.Fatalf("batch hook calls = %d", called)
 	}
-	r, err := smtpproto.ParseReply(bufio.NewReader(out))
+	r, err := readReply(bufio.NewReader(out))
 	if err != nil || r.Code != 451 {
 		t.Fatalf("reply = %+v, %v", r, err)
 	}
@@ -173,13 +173,13 @@ func TestPipelinedRcptOverWire(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if _, err := smtpproto.ParseReply(br); err != nil {
+	if _, err := readReply(br); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write([]byte("EHLO client.example\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := smtpproto.ParseReply(br); err != nil || r.Code != 250 {
+	if r, err := readReply(br); err != nil || r.Code != 250 {
 		t.Fatalf("EHLO = %+v, %v", r, err)
 	}
 	burst := "MAIL FROM:<a@b.example>\r\n" +
@@ -192,7 +192,7 @@ func TestPipelinedRcptOverWire(t *testing.T) {
 	}
 	wantCodes := []int{250, 250, 250, 250, 221}
 	for i, w := range wantCodes {
-		r, err := smtpproto.ParseReply(br)
+		r, err := readReply(br)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}

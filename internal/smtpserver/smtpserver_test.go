@@ -54,7 +54,7 @@ func (e *testEnv) script(t *testing.T, clientIP string, lines []string) []smtppr
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	banner, err := smtpproto.ParseReply(br)
+	banner, err := readReply(br)
 	if err != nil {
 		t.Fatalf("banner: %v", err)
 	}
@@ -63,13 +63,20 @@ func (e *testEnv) script(t *testing.T, clientIP string, lines []string) []smtppr
 		if _, err := conn.Write([]byte(line + "\r\n")); err != nil {
 			t.Fatalf("write %q: %v", line, err)
 		}
-		r, err := smtpproto.ParseReply(br)
+		r, err := readReply(br)
 		if err != nil {
 			t.Fatalf("reply to %q: %v", line, err)
 		}
 		replies = append(replies, r)
 	}
 	return replies
+}
+
+// readReply reads one reply, multi-line or not, from a test client's
+// reader.
+func readReply(br *bufio.Reader) (smtpproto.Reply, error) {
+	r, _, err := smtpproto.ParseReplyBuf(br, nil)
+	return r, err
 }
 
 func codes(replies []smtpproto.Reply) []int {
@@ -292,7 +299,7 @@ func TestConnectHookRejects(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	banner, err := smtpproto.ParseReply(br)
+	banner, err := readReply(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +308,7 @@ func TestConnectHookRejects(t *testing.T) {
 	}
 	// The server must close the connection after a rejecting banner.
 	if _, err := conn.Write([]byte("HELO x\r\n")); err == nil {
-		if _, err := smtpproto.ParseReply(br); err == nil {
+		if _, err := readReply(br); err == nil {
 			t.Fatal("server kept serving after rejecting banner")
 		}
 	}
@@ -365,7 +372,7 @@ func TestTooManyErrorsDisconnects(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if _, err := smtpproto.ParseReply(br); err != nil {
+	if _, err := readReply(br); err != nil {
 		t.Fatal(err)
 	}
 	var last smtpproto.Reply
@@ -373,7 +380,7 @@ func TestTooManyErrorsDisconnects(t *testing.T) {
 		if _, err := conn.Write([]byte("BOGUS\r\n")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		last, err = smtpproto.ParseReply(br)
+		last, err = readReply(br)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
@@ -381,7 +388,7 @@ func TestTooManyErrorsDisconnects(t *testing.T) {
 	if last.Code != 421 {
 		t.Fatalf("final reply = %d, want 421", last.Code)
 	}
-	if _, err := smtpproto.ParseReply(br); err == nil {
+	if _, err := readReply(br); err == nil {
 		t.Fatal("connection still open after 421")
 	}
 }
@@ -403,7 +410,7 @@ func TestPipelinedCommands(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if _, err := smtpproto.ParseReply(br); err != nil {
+	if _, err := readReply(br); err != nil {
 		t.Fatal(err)
 	}
 	// Send the whole transaction in one burst (PIPELINING).
@@ -412,7 +419,7 @@ func TestPipelinedCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, wantCode := range []int{250, 250, 250, 354} {
-		r, err := smtpproto.ParseReply(br)
+		r, err := readReply(br)
 		if err != nil {
 			t.Fatalf("pipelined reply %d: %v", i, err)
 		}
@@ -423,7 +430,7 @@ func TestPipelinedCommands(t *testing.T) {
 	if _, err := conn.Write([]byte("body\r\n.\r\nQUIT\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := smtpproto.ParseReply(br)
+	r, err := readReply(br)
 	if err != nil || r.Code != 250 {
 		t.Fatalf("DATA end = %v, %v", r, err)
 	}
@@ -451,7 +458,7 @@ func TestCloseDrainsConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	if _, err := smtpproto.ParseReply(br); err != nil {
+	if _, err := readReply(br); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {

@@ -63,7 +63,7 @@ func TestReadTimeoutRefreshedPerCommand(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
-	if _, err := smtpproto.ParseReply(br); err != nil {
+	if _, err := readReply(br); err != nil {
 		t.Fatal(err)
 	}
 	// Issue commands with 150 ms gaps: each is under the 300 ms
@@ -73,7 +73,7 @@ func TestReadTimeoutRefreshedPerCommand(t *testing.T) {
 		if _, err := conn.Write([]byte(cmd + "\r\n")); err != nil {
 			t.Fatalf("cmd %d: %v", i, err)
 		}
-		if _, err := smtpproto.ParseReply(br); err != nil {
+		if _, err := readReply(br); err != nil {
 			t.Fatalf("reply %d: %v (deadline not refreshed?)", i, err)
 		}
 	}

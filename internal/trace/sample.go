@@ -2,10 +2,11 @@ package trace
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/hdr"
 )
 
 // Sampled sessions: the per-connection trace a daemon starts for a real
@@ -84,23 +85,24 @@ func (t *Trace) settle() bool {
 }
 
 // tailWindow tracks the running p99 of recent sampled-session durations
-// in a log-linear histogram: tailSub sub-buckets per power of two of
-// nanoseconds, so the threshold is within 1/tailSub of the true p99.
-// Every tailEvery observations the threshold is recomputed and the
-// counts halved, so old sessions fade out. Until the first recompute
-// nothing counts as slow.
+// in microseconds, in internal/hdr's log-linear buckets, so the
+// threshold is within hdr.RelativeError (1/32) of the true p99; hdr's
+// range covers sessions of up to about 38 hours. Every tailEvery
+// observations the threshold is recomputed and the counts halved, so
+// old sessions fade out. Until the first recompute nothing counts as
+// slow.
 type tailWindow struct {
-	buckets   [64 * tailSub]atomic.Uint64
+	buckets   [hdr.Buckets]atomic.Uint64
 	n         atomic.Uint64
-	threshold atomic.Int64
-	mu        sync.Mutex // one recompute at a time
+	threshold atomic.Int64 // nanoseconds
+	mu        sync.Mutex   // one recompute at a time
+	// counts is recompute's snapshot of buckets, under mu. It is a
+	// field, not a local: 8.7 KB on the stack would grow the stack of
+	// every session goroutine that finishes a recompute.
+	counts [hdr.Buckets]uint64
 }
 
-const (
-	tailSubBits = 3
-	tailSub     = 1 << tailSubBits
-	tailEvery   = 256
-)
+const tailEvery = 256
 
 // slowThreshold returns the current slow-session cutoff (the running
 // p99), or 0 before the window has seen enough sessions.
@@ -111,35 +113,10 @@ func (tr *Tracer) slowThreshold() time.Duration {
 	return 0
 }
 
-// tailBucket maps a duration to its log-linear bucket.
-func tailBucket(ns uint64) int {
-	if ns < tailSub {
-		return int(ns)
-	}
-	e := bits.Len64(ns) - 1 // ns in [2^e, 2^(e+1))
-	sub := int(ns>>(e-tailSubBits)) & (tailSub - 1)
-	return (e-tailSubBits+1)*tailSub + sub
-}
-
-// tailUpper is the largest duration in bucket i.
-func tailUpper(i int) int64 {
-	if i < tailSub {
-		return int64(i)
-	}
-	e := i/tailSub + tailSubBits - 1
-	if e >= 62 {
-		return math.MaxInt64
-	}
-	sub := uint64(i % tailSub)
-	lo := uint64(1)<<e | sub<<(e-tailSubBits)
-	return int64(lo + uint64(1)<<(e-tailSubBits) - 1)
-}
-
 // observe records d and reports whether it exceeds the running p99.
 func (w *tailWindow) observe(d time.Duration) bool {
-	ns := uint64(max(d, 0))
-	slow := int64(ns) > w.threshold.Load()
-	w.buckets[tailBucket(ns)].Add(1)
+	slow := int64(d) > w.threshold.Load()
+	w.buckets[hdr.Index(d.Microseconds())].Add(1)
 	if w.n.Add(1)%tailEvery == 0 {
 		w.recompute()
 	}
@@ -153,7 +130,7 @@ func (w *tailWindow) recompute() {
 		return
 	}
 	defer w.mu.Unlock()
-	var counts [len(w.buckets)]uint64
+	counts := &w.counts
 	var total uint64
 	for i := range w.buckets {
 		counts[i] = w.buckets[i].Load()
@@ -167,7 +144,7 @@ func (w *tailWindow) recompute() {
 	for i, c := range counts {
 		seen += c
 		if seen >= rank {
-			w.threshold.Store(tailUpper(i))
+			w.threshold.Store(hdr.Upper(i) * int64(time.Microsecond))
 			break
 		}
 	}

@@ -177,20 +177,6 @@ func TestSampledSessionKeepRule(t *testing.T) {
 	})
 }
 
-func TestTailBuckets(t *testing.T) {
-	prev := -1
-	for _, ns := range []uint64{0, 1, 7, 8, 9, 15, 16, 17, 1000, 1 << 20, 1<<20 + 1, 1 << 40} {
-		i := tailBucket(ns)
-		if i < prev {
-			t.Fatalf("bucket(%d) = %d below bucket of a smaller value (%d)", ns, i, prev)
-		}
-		prev = i
-		if up := tailUpper(i); uint64(up) < ns || (i > 0 && uint64(tailUpper(i-1)) >= ns) {
-			t.Fatalf("%d not in bucket %d: (%d, %d]", ns, i, tailUpper(i-1), up)
-		}
-	}
-}
-
 // TestGreylistRendersLikeEagerDetail: a greylist event formats its
 // "(ip, sender, rcpt) reason" detail when read, byte-identical on every
 // read path to the same event recorded with the detail preformatted.
