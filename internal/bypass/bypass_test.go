@@ -3,6 +3,7 @@ package bypass
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,5 +299,61 @@ func TestCacheBound(t *testing.T) {
 	}
 	if n := s.cache.entries(); n > 64 {
 		t.Fatalf("cache grew to %d entries past the 64 bound", n)
+	}
+}
+
+// TestTruncatedAnswersFailOpen: behind a loopback DNS server that
+// answers every query with TC=1, each DNS stage errors instead of
+// reading the cut answer as complete: SPF as a temperror, DNSWL and
+// rDNS as errors. The chain counts one per stage and fails open to
+// plain greylisting.
+func TestTruncatedAnswersFailOpen(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	defer func() {
+		pc.Close()
+		<-done
+	}()
+	go func() {
+		defer close(done)
+		buf := make([]byte, 4096)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			q, err := dnsmsg.Unpack(buf[:n])
+			if err != nil {
+				continue
+			}
+			r := q.Reply()
+			r.Header.Truncated = true
+			if b, err := r.Pack(); err == nil {
+				pc.WriteTo(b, from)
+			}
+		}
+	}()
+	tr := dnsresolver.UDP(pc.LocalAddr().String(), 2*time.Second)
+	defer tr.Close()
+	clock := simtime.NewSim(simtime.Epoch)
+	res := dnsresolver.New(tr, clock)
+	checker := spf.NewCached(spf.New(res), spf.CacheConfig{Clock: clock})
+	if r, err := checker.Check("203.0.113.25", "news@bulk.example", ""); r != spf.ResultTempError || !errors.Is(err, dnsresolver.ErrTruncated) {
+		t.Fatalf("SPF check = %v, %v; want temperror wrapping ErrTruncated", r, err)
+	}
+
+	g := greylist.New(greylist.DefaultPolicy(), clock)
+	g.SetChain(greylist.NewChain(SPF(checker),
+		DNSWL(res, "wl.example", CacheConfig{Clock: clock}), RDNS(res, CacheConfig{Clock: clock})))
+	if v := g.Check(trip("203.0.113.25", "news@bulk.example")); v.Decision != greylist.Defer || v.Reason != greylist.ReasonFirstSeen {
+		t.Fatalf("verdict = %+v, want a first-seen deferral", v)
+	}
+	for _, st := range g.Chain().StageStats() {
+		if st.Errors != 1 {
+			t.Errorf("stage %s: %d errors, want 1", st.Name, st.Errors)
+		}
 	}
 }

@@ -19,8 +19,10 @@ import (
 	"io"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bypass"
@@ -49,6 +51,8 @@ type Daemon struct {
 
 	g       *greylist.Greylister
 	wal     *greylist.WAL
+	res     *dnsresolver.Resolver     // the bypass stages' resolver; nil without them
+	dns     *dnsresolver.UDPTransport // res's sockets
 	srv     *smtpserver.Server
 	smtpL   net.Listener
 	policy  *policyd.Server
@@ -179,7 +183,9 @@ func Start(argv []string, log io.Writer) (_ *Daemon, err error) {
 	// greylisting on DNS trouble. See DESIGN.md, "Bypass chain".
 	var stages []greylist.Stage
 	if *spfKey || *dnswl != "" || *rdns {
-		res := dnsresolver.New(dnsresolver.UDP(*dnsAddr, 5*time.Second), simtime.Real{})
+		d.dns = dnsresolver.UDP(*dnsAddr, 5*time.Second)
+		res := dnsresolver.New(d.dns, simtime.Real{})
+		d.res = res
 		if *spfKey {
 			stages = append(stages, bypass.SPF(spf.NewCached(spf.New(res), spf.CacheConfig{})))
 		}
@@ -342,15 +348,35 @@ func loadState(g *greylist.Greylister, path string, log io.Writer) error {
 	}
 }
 
-// deferReply answers a deferred RCPT with 451 4.7.1 and the remaining
-// wait; nil accepts.
-func deferReply(v greylist.Verdict) *smtpproto.Reply {
-	if v.Decision == greylist.Pass {
-		return nil
+// deferral is a rendered 451 4.7.1 for one whole-second wait, with a
+// one-element reply slice holding it: a deferred lone RCPT's answer.
+type deferral struct {
+	wait  int
+	reply smtpproto.Reply
+	one   [1]*smtpproto.Reply
+}
+
+// deferrals renders deferral replies, keeping the last one. First-seen
+// deferrals all wait exactly the threshold, so nearly every deferral
+// reuses it. Sessions share the replies and slices it hands out, which
+// is safe because smtpserver only reads them: rcptVerdict takes
+// element 0, handleRcpt copies the Reply, and handleRcptPipeline reads
+// Code and Lines and appends the reply's bytes to the session's buffer.
+type deferrals struct {
+	last atomic.Pointer[deferral]
+}
+
+// get returns the deferral for v's remaining wait.
+func (ds *deferrals) get(v greylist.Verdict) *deferral {
+	wait := int(v.WaitRemaining.Seconds())
+	if d := ds.last.Load(); d != nil && d.wait == wait {
+		return d
 	}
-	r := smtpproto.NewReply(451, "4.7.1",
-		fmt.Sprintf("Greylisted, please retry in %d seconds", int(v.WaitRemaining.Seconds())))
-	return &r
+	d := &deferral{wait: wait, reply: smtpproto.NewReply(451, "4.7.1",
+		"Greylisted, please retry in "+strconv.Itoa(wait)+" seconds")}
+	d.one[0] = &d.reply
+	ds.last.Store(d)
+	return d
 }
 
 // burst is one pipelined RCPT burst's engine input and output.
@@ -369,12 +395,14 @@ func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtps
 	// bursts recycles the triplet and verdict slices of finished bursts,
 	// so a burst of accepted recipients allocates nothing.
 	bursts := sync.Pool{New: func() any { return new(burst) }}
+	var defers deferrals
 	h := smtpserver.Hooks{
 		// A pipelined RCPT burst takes one trip through the engine's
 		// locks instead of one per recipient, and a traced session
 		// records one verdict per recipient. The server passes a lone
-		// RCPT as a burst of one. Replies are allocated only when some
-		// recipient is deferred (nil accepts all).
+		// RCPT as a burst of one. A deferred lone RCPT is answered with
+		// a shared one-element slice; a burst allocates its replies
+		// slice only when some recipient is deferred (nil accepts all).
 		OnRcptBatchTraced: func(tr *trace.Trace, clientIP, sender string, rcpts []string) []*smtpproto.Reply {
 			b := bursts.Get().(*burst)
 			for _, rcpt := range rcpts {
@@ -383,12 +411,18 @@ func sessionHooks(g *greylist.Greylister, log io.Writer, fingerprint bool) smtps
 			b.vs = g.CheckBatchTraced(b.ts, b.vs, tr)
 			var replies []*smtpproto.Reply
 			for i, v := range b.vs {
-				if r := deferReply(v); r != nil {
-					if replies == nil {
-						replies = make([]*smtpproto.Reply, len(rcpts))
-					}
-					replies[i] = r
+				if v.Decision == greylist.Pass {
+					continue
 				}
+				d := defers.get(v)
+				if len(rcpts) == 1 {
+					replies = d.one[:]
+					break
+				}
+				if replies == nil {
+					replies = make([]*smtpproto.Reply, len(rcpts))
+				}
+				replies[i] = &d.reply
 			}
 			// Drop the session's strings before the slices go back.
 			clear(b.ts)
@@ -432,6 +466,9 @@ func (d *Daemon) instrument(stages []greylist.Stage, tracer *trace.Tracer, obsCf
 	}
 	if d.policy != nil {
 		d.policy.Register(reg)
+	}
+	if d.dns != nil {
+		d.registerResolver(reg)
 	}
 	var endpoints []metrics.Endpoint
 	if tracer != nil {
@@ -491,6 +528,31 @@ func (d *Daemon) instrument(stages []greylist.Stage, tracer *trace.Tracer, obsCf
 	return append(endpoints, health.Endpoint())
 }
 
+// registerResolver exports the bypass stages' resolver and its UDP
+// transport: what each cache miss costs on the wire. The resolver_
+// prefix keeps them apart from dnsserver's dns_* series.
+func (d *Daemon) registerResolver(reg *metrics.Registry) {
+	res, tr := d.res, d.dns
+	reg.CounterFunc("resolver_queries_total",
+		"DNS queries the bypass stages' resolver sent upstream (cache misses).",
+		func() uint64 { n, _ := res.Stats(); return n })
+	reg.CounterFunc("resolver_cache_hits_total",
+		"Bypass-stage DNS lookups answered from the resolver's cache.",
+		func() uint64 { _, n := res.Stats(); return n })
+	reg.CounterFunc("resolver_udp_sockets_opened_total",
+		"UDP sockets the resolver's transport dialed.",
+		func() uint64 { return tr.Stats().SocketsOpened })
+	reg.GaugeFunc("resolver_udp_sockets_open",
+		"UDP sockets the resolver's transport holds open, idle or in use.",
+		func() float64 { return float64(tr.Stats().SocketsOpen) })
+	reg.CounterFunc("resolver_udp_answers_discarded_total",
+		"Datagrams the resolver's transport dropped: wrong ID or question, or undecodable.",
+		func() uint64 { return tr.Stats().Discarded })
+	reg.CounterFunc("resolver_exchange_errors_total",
+		"Resolver exchanges that failed: send or receive errors, timeouts, truncated answers.",
+		func() uint64 { return tr.Stats().Errors })
+}
+
 // collectGarbage drops expired records every interval until Close.
 func (d *Daemon) collectGarbage(every time.Duration) {
 	defer d.wg.Done()
@@ -514,6 +576,9 @@ func (d *Daemon) collectGarbage(every time.Duration) {
 func (d *Daemon) abort() error {
 	if d.obsv != nil {
 		d.obsv.Stop()
+	}
+	if d.dns != nil {
+		d.dns.Close()
 	}
 	for _, l := range []net.Listener{d.smtpL, d.policyL} {
 		if l != nil {
@@ -556,6 +621,11 @@ func (d *Daemon) close() error {
 		}
 	}
 	d.wg.Wait()
+	// The SMTP and policy servers have waited for their sessions, so no
+	// bypass stage is mid-lookup.
+	if d.dns != nil {
+		d.dns.Close()
+	}
 
 	if d.wal != nil {
 		if err := d.wal.Close(); err != nil {

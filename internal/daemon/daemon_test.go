@@ -24,6 +24,7 @@ import (
 	"repro/internal/dnsserver"
 	"repro/internal/greylist"
 	"repro/internal/simtime"
+	"repro/internal/smtpproto"
 	"repro/internal/trace"
 )
 
@@ -229,7 +230,8 @@ func TestStartRejectsSettings(t *testing.T) {
 // TestFailedStartLeavesNothing: with the policy port, then the admin
 // port, held busy, Start fails, and the SMTP port it had already bound
 // refuses connections, the WAL is closed and every goroutine it started
-// has exited.
+// has exited. The rDNS stage is on, so the failed start also closes the
+// resolver's transport, which has opened no socket before serving.
 func TestFailedStartLeavesNothing(t *testing.T) {
 	for _, busy := range []string{"-policy-listen", "-admin-addr"} {
 		t.Run(busy, func(t *testing.T) {
@@ -237,7 +239,7 @@ func TestFailedStartLeavesNothing(t *testing.T) {
 			smtpAddr := freePort(t)
 			args := []string{"greylistd", "-listen", smtpAddr, "-threshold", "1s",
 				"-state", filepath.Join(dir, "state"), "-wal", filepath.Join(dir, "wal"),
-				"-policy-listen", freePort(t), "-admin-addr", freePort(t)}
+				"-policy-listen", freePort(t), "-admin-addr", freePort(t), "-dns", startDNS(t), "-rdns"}
 			args = append(args, busy, busyPort(t)) // the later flag wins
 			base := runtime.NumGoroutine()
 			d, err := Start(args, io.Discard)
@@ -329,24 +331,71 @@ func passedBurst(t *testing.T, clients []string, sender string, pass func(c, i i
 }
 
 // TestBurstHookNoAllocs: a pipelined burst of 16 known-passed
-// recipients goes through the RCPT hook without allocating.
+// recipients goes through the RCPT hook without allocating; so does a
+// deferred lone RCPT, and a deferred 16-RCPT burst allocates only its
+// replies slice. The deferred triplets are pending ones retried early
+// on a clock that does not move, so each wait is the threshold.
 func TestBurstHookNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops recycled bursts")
 	}
-	const ip, sender = "192.0.2.1", "c1@corp1.example"
-	g, rcpts := passedBurst(t, []string{ip}, sender, func(int, int) bool { return true })
+	const ip, other, sender = "192.0.2.1", "192.0.2.9", "c1@corp1.example"
+	g, rcpts := passedBurst(t, []string{ip, other}, sender, func(c, _ int) bool { return c == 0 })
 	h := sessionHooks(g, io.Discard, false)
-	allocs := testing.AllocsPerRun(100, func() {
-		if replies := h.OnRcptBatchTraced(nil, ip, sender, rcpts[0]); replies != nil {
-			t.Fatalf("known-passed burst replied %v", replies)
+	for _, tc := range []struct {
+		name   string
+		ip     string
+		rcpts  []string
+		allocs float64
+	}{
+		{"known-passed 16-RCPT burst", ip, rcpts[0], 0},
+		{"deferred lone RCPT", other, rcpts[1][:1], 0},
+		{"deferred 16-RCPT burst", other, rcpts[1], 1},
+	} {
+		deferred := tc.ip == other
+		h.OnRcptBatchTraced(nil, tc.ip, sender, tc.rcpts) // first sight of the pending triplets
+		allocs := testing.AllocsPerRun(100, func() {
+			replies := h.OnRcptBatchTraced(nil, tc.ip, sender, tc.rcpts)
+			if got := replies != nil; got != deferred {
+				t.Fatalf("%s replied %v", tc.name, replies)
+			}
+			for _, r := range replies {
+				if r == nil || r.Code != 451 {
+					t.Fatalf("%s replied %v", tc.name, r)
+				}
+			}
+		})
+		if allocs != tc.allocs {
+			t.Errorf("%s allocates %.1f/op, want %v", tc.name, allocs, tc.allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("known-passed 16-RCPT burst allocates %.1f/op, want 0", allocs)
 	}
 	if s := g.Stats(); s.PassedKnown < 100*16 {
 		t.Errorf("PassedKnown = %d, want at least %d", s.PassedKnown, 100*16)
+	}
+}
+
+// TestDeferralText: the cached deferral replies are byte for byte the
+// 451 greylistd rendered with fmt.Sprintf per deferral, for waits of 0
+// to 400 s and for the threshold, asked in an order that makes the
+// cache both hit and miss.
+func TestDeferralText(t *testing.T) {
+	threshold := greylist.DefaultPolicy().Threshold
+	var waits []time.Duration
+	for s := 0; s <= 400; s++ {
+		w := time.Duration(s)*time.Second + 300*time.Millisecond
+		waits = append(waits, w, w, threshold)
+	}
+	var ds deferrals
+	for _, w := range waits {
+		d := ds.get(greylist.Verdict{Decision: greylist.Defer, WaitRemaining: w})
+		want := smtpproto.NewReply(451, "4.7.1",
+			fmt.Sprintf("Greylisted, please retry in %d seconds", int(w.Seconds())))
+		if got := d.reply.String(); got != want.String() {
+			t.Fatalf("wait %v: reply %q, want %q", w, got, want.String())
+		}
+		if d.one[0] != &d.reply {
+			t.Fatalf("wait %v: lone-RCPT slice %v does not hold the reply", w, d.one)
+		}
 	}
 }
 
@@ -408,7 +457,9 @@ func startDNS(t *testing.T) string {
 // stage over a loopback DNS zone, the policy service and the admin
 // listener. A pipelined burst is deferred and its retry passes; the
 // admin surfaces answer and /metrics carries every series the benchmark
-// reads; a restart on the same files recovers the passed triplets.
+// reads; the resolver's lookups, one at a time, share one UDP socket,
+// which Close closes; a restart on the same files recovers the passed
+// triplets.
 func TestAssembly(t *testing.T) {
 	dir := t.TempDir()
 	dnsAddr, policyAddr := startDNS(t), freePort(t)
@@ -466,6 +517,15 @@ func TestAssembly(t *testing.T) {
 		`greylist_bypass_stage_total{stage="rdns",action="bypass"}`: 1,
 		`wal_records_total`:                                         6, // 3 first-seen inserts, 3 promotions
 		`wal_replayed_records_total`:                                0,
+		// One PTR lookup per client (127.0.0.1 has no PTR, and the rDNS
+		// stage caches the answer for the retry); the resolver's cache
+		// keeps no NXDOMAIN and is not asked twice.
+		`resolver_queries_total`:               2,
+		`resolver_cache_hits_total`:            0,
+		`resolver_udp_sockets_opened_total`:    1,
+		`resolver_udp_sockets_open`:            1,
+		`resolver_udp_answers_discarded_total`: 0,
+		`resolver_exchange_errors_total`:       0,
 	} {
 		if got, ok := m[series]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
@@ -485,6 +545,10 @@ func TestAssembly(t *testing.T) {
 
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The policy request's PTR lookup went out on the same socket.
+	if s := d.dns.Stats(); s.SocketsOpened != 1 || s.SocketsOpen != 0 {
+		t.Errorf("resolver transport after Close: %+v, want 1 socket opened and none open", s)
 	}
 	if !strings.Contains(log.String(), "wal: final checkpoint written to ") {
 		t.Errorf("no final checkpoint line; log:\n%s", log.String())

@@ -15,7 +15,6 @@ package dnsresolver
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,45 +78,6 @@ func Direct(srv WireExchanger) Transport {
 	})
 }
 
-// UDP returns a Transport that sends queries over UDP to addr
-// ("host:port") with the given per-query timeout.
-func UDP(addr string, timeout time.Duration) Transport {
-	return TransportFunc(func(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-		wire, err := q.Pack()
-		if err != nil {
-			return nil, err
-		}
-		conn, err := net.Dial("udp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("dnsresolver: dial %s: %w", addr, err)
-		}
-		defer conn.Close()
-		if timeout > 0 {
-			if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := conn.Write(wire); err != nil {
-			return nil, fmt.Errorf("dnsresolver: send: %w", err)
-		}
-		buf := make([]byte, 4096)
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				return nil, fmt.Errorf("dnsresolver: receive: %w", err)
-			}
-			resp, err := dnsmsg.Unpack(buf[:n])
-			if err != nil {
-				continue // garbage datagram; keep waiting until deadline
-			}
-			if resp.Header.ID != q.Header.ID {
-				continue
-			}
-			return resp, nil
-		}
-	})
-}
-
 // MXHost is one resolved mail exchanger for a domain.
 type MXHost struct {
 	// Preference is the MX preference value; lower is tried first.
@@ -137,8 +97,9 @@ type MXHost struct {
 type Resolver struct {
 	tr    Transport
 	clock simtime.Clock
-	// nextID provides deterministic query IDs; contents of IDs don't
-	// matter for correctness, only uniqueness within a flight.
+	// nextID numbers queries deterministically, so Direct replays the
+	// same bytes run after run. A transport that crosses a network
+	// must not send it: UDP puts a random wire ID in its place.
 	nextID atomic.Uint32
 
 	mu      sync.Mutex

@@ -2,6 +2,7 @@ package spf
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -143,5 +144,48 @@ func TestCachedCheckerUncacheable(t *testing.T) {
 	cc.Check("192.0.2.10", "", "")
 	if cc.Entries() != 0 {
 		t.Fatalf("entries = %d, want 0", cc.Entries())
+	}
+}
+
+// TestCachedCheckerTruncated: a truncated answer (dnsresolver's
+// ErrTruncated, the error its UDP transport returns for TC=1) is a
+// temperror whether it cut the TXT record or an a/mx lookup, cached for
+// the short TempErrorTTL, never read as "no record" or "no match".
+func TestCachedCheckerTruncated(t *testing.T) {
+	dns := dnsserver.New()
+	z := dnsserver.NewZone("sender.example")
+	z.MustAdd(dnsmsg.RR{Name: "sender.example", Type: dnsmsg.TypeTXT, TTL: 300,
+		Data: Record("a:host.sender.example", "-all")})
+	z.MustAdd(dnsmsg.RR{Name: "host.sender.example", Type: dnsmsg.TypeA, TTL: 300,
+		Data: dnsmsg.MustIPv4("192.0.2.10")})
+	dns.AddZone(z)
+	direct := dnsresolver.Direct(dns)
+	for _, cut := range []dnsmsg.Type{dnsmsg.TypeTXT, dnsmsg.TypeA} {
+		t.Run(cut.String(), func(t *testing.T) {
+			clock := simtime.NewSim(simtime.Epoch)
+			exchanges := 0
+			r := dnsresolver.New(dnsresolver.TransportFunc(func(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+				exchanges++
+				if q.Questions[0].Type == cut {
+					return nil, fmt.Errorf("%w for %s", dnsresolver.ErrTruncated, q.Questions[0].Name)
+				}
+				return direct.Exchange(q)
+			}), clock)
+			cc := NewCached(New(r), CacheConfig{TTL: 10 * time.Minute, TempErrorTTL: 30 * time.Second, Clock: clock})
+			res, err := cc.Check("192.0.2.10", "ads@sender.example", "")
+			if res != ResultTempError || !errors.Is(err, dnsresolver.ErrTruncated) {
+				t.Fatalf("check = %v, %v; want temperror wrapping ErrTruncated", res, err)
+			}
+			n := exchanges
+			clock.Advance(29 * time.Second)
+			if res, _ := cc.Check("192.0.2.10", "ads@sender.example", ""); res != ResultTempError || exchanges != n {
+				t.Fatalf("within 30 s: %v after %d more exchanges, want the cached temperror", res, exchanges-n)
+			}
+			clock.Advance(2 * time.Second)
+			cc.Check("192.0.2.10", "ads@sender.example", "")
+			if exchanges == n {
+				t.Fatal("the temperror outlived its 30 s")
+			}
+		})
 	}
 }

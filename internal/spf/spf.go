@@ -230,7 +230,7 @@ func (c *Checker) matchA(ip net.IP, domain string, budget *int) (bool, error) {
 	}
 	addrs, err := c.resolver.LookupA(domain)
 	if err != nil {
-		return false, nil // nonexistent → no match, per RFC
+		return false, truncated(err) // nonexistent → no match, per RFC
 	}
 	for _, a := range addrs {
 		if net.ParseIP(a).Equal(ip) {
@@ -246,7 +246,7 @@ func (c *Checker) matchMX(ip net.IP, domain string, budget *int) (bool, error) {
 	}
 	hosts, err := c.resolver.LookupMX(domain)
 	if err != nil {
-		return false, nil
+		return false, truncated(err)
 	}
 	for _, h := range hosts {
 		for _, a := range h.Addrs {
@@ -256,6 +256,16 @@ func (c *Checker) matchMX(ip net.IP, domain string, budget *int) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// truncated passes on a truncated answer, which check_host turns into
+// temperror: the records that would have matched may be the ones cut
+// off. Any other failed a/mx lookup is no match.
+func truncated(err error) error {
+	if errors.Is(err, dnsresolver.ErrTruncated) {
+		return err
+	}
+	return nil
 }
 
 // Record builds a v=spf1 TXT record for publication — the deployment-side
